@@ -3,10 +3,12 @@
 
 Usage: merge_selfcheck.py OUT.json RUN1.json RUN2.json [RUN3.json ...]
 
-Writes OUT.json: the last run verbatim, except every benchmark's
-items_per_second is replaced by the MINIMUM observed for that benchmark
-across all input runs (benchmarks missing from some runs keep the
-minimum over the runs that have them).
+Writes OUT.json: the last run verbatim, except every benchmark's row is
+replaced by the WHOLE row of the run with the MINIMUM items_per_second
+for that benchmark across all input runs (benchmarks missing from some
+runs take the slowest of the runs that have them). Keeping the row whole
+keeps real_time, cpu_time, iterations and items_per_second from one and
+the same run, so they agree with each other.
 
 Why the minimum: on the shared 1-core VMs this repo builds on,
 back-to-back runs of the *same binary* can disagree by more than the
@@ -44,6 +46,7 @@ def main(argv):
             return 1
         runs.append(data)
 
+    # name -> the slowest run's row, kept whole.
     floor = {}
     for data in runs:
         for bm in data.get("benchmarks", []):
@@ -52,15 +55,15 @@ def main(argv):
             ips = bm.get("items_per_second")
             if ips:
                 name = bm["name"]
-                floor[name] = min(floor.get(name, float("inf")), float(ips))
+                if name not in floor or float(ips) < float(
+                        floor[name]["items_per_second"]):
+                    floor[name] = bm
 
     merged = runs[-1]
-    for bm in merged.get("benchmarks", []):
-        name = bm.get("name")
-        if name in floor and bm.get("items_per_second"):
-            bm["items_per_second"] = floor[name]
+    merged["benchmarks"] = [floor.get(bm.get("name"), bm)
+                            for bm in merged.get("benchmarks", [])]
     merged.setdefault("context", {})["selfcheck_merge"] = (
-        f"items_per_second = min over {len(runs)} runs")
+        f"each row = the min-items_per_second run's row over {len(runs)} runs")
 
     with open(out_path, "w") as f:
         json.dump(merged, f, indent=1)

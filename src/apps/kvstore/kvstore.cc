@@ -69,16 +69,20 @@ void KvStore::put(uint64_t key, std::vector<uint8_t> value, Done done) {
                     std::make_shared<Done>(std::move(done)));
           return;
         }
-        shards_[s].memtable.insert(key, value);
+        // Encode the log slot first so the value itself can move into
+        // the memtable instead of being copied there.
         std::vector<core::ReplicatedWal::Entry> entries;
         entries.push_back({slot_offset(key), encode_slot(key, value)});
+        shards_[s].memtable.insert(key, std::move(value));
         auto done_sp = std::make_shared<Done>(std::move(done));
         const bool ok = wal_.append_to(
             s, entries, [done_sp](uint64_t) { (*done_sp)(true); });
         if (!ok) {
-          // Log full: checkpoint this shard and retry shortly.
+          // Log full: checkpoint this shard and retry shortly, re-sending
+          // the value the memtable now holds.
+          std::vector<uint8_t> retry = *shards_[s].memtable.find(key);
           maybe_checkpoint(s);
-          defer_put(key, std::move(value), done_sp);
+          defer_put(key, std::move(retry), done_sp);
           return;
         }
         maybe_checkpoint(s);

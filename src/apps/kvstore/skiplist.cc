@@ -1,24 +1,49 @@
 #include "apps/kvstore/skiplist.h"
 
+#include <algorithm>
 #include <cassert>
+#include <new>
 
 namespace hyperloop::apps {
 
+// One allocation per node: the header below is followed directly by the
+// node's `next` tower, sized to its height, so a search step loads the
+// successor pointer and the successor's key without a second indirection.
 struct SkipNode {
   uint64_t key = 0;
   std::vector<uint8_t> value;
-  std::vector<SkipNode*> next;  // size == tower height
+
+  SkipNode** next() { return reinterpret_cast<SkipNode**>(this + 1); }
+  SkipNode* const* next() const {
+    return reinterpret_cast<SkipNode* const*>(this + 1);
+  }
 };
+static_assert(sizeof(SkipNode) % alignof(SkipNode*) == 0);
+
+namespace {
+
+SkipNode* new_node(int height, uint64_t key, std::vector<uint8_t> value) {
+  void* mem = ::operator new(sizeof(SkipNode) +
+                             static_cast<size_t>(height) * sizeof(SkipNode*));
+  auto* n = new (mem) SkipNode{key, std::move(value)};
+  for (int i = 0; i < height; ++i) new (n->next() + i) SkipNode*(nullptr);
+  return n;
+}
+
+void delete_node(SkipNode* n) {
+  n->~SkipNode();
+  ::operator delete(n);
+}
+
+}  // namespace
 
 SkipList::SkipList(uint64_t seed)
-    : head_(new SkipNode), rng_state_(seed | 1) {
-  head_->next.assign(kMaxLevel, nullptr);
-}
+    : head_(new_node(kMaxLevel, 0, {})), rng_state_(seed | 1) {}
 
 SkipList::~SkipList() {
   if (head_ == nullptr) return;
   clear();
-  delete head_;
+  delete_node(head_);
 }
 
 SkipList::SkipList(SkipList&& o) noexcept
@@ -32,7 +57,7 @@ SkipList& SkipList::operator=(SkipList&& o) noexcept {
   if (this == &o) return *this;
   if (head_ != nullptr) {
     clear();
-    delete head_;
+    delete_node(head_);
   }
   head_ = o.head_;
   level_ = o.level_;
@@ -44,13 +69,13 @@ SkipList& SkipList::operator=(SkipList&& o) noexcept {
 }
 
 void SkipList::clear() {
-  SkipNode* n = head_->next[0];
+  SkipNode* n = head_->next()[0];
   while (n != nullptr) {
     SkipNode* d = n;
-    n = n->next[0];
-    delete d;
+    n = n->next()[0];
+    delete_node(d);
   }
-  head_->next.assign(kMaxLevel, nullptr);
+  std::fill_n(head_->next(), kMaxLevel, nullptr);
   level_ = 1;
   size_ = 0;
 }
@@ -72,13 +97,12 @@ bool SkipList::insert(uint64_t key, std::vector<uint8_t> value) {
   SkipNode* update[kMaxLevel];
   SkipNode* x = head_;
   for (int i = level_ - 1; i >= 0; --i) {
-    while (x->next[static_cast<size_t>(i)] != nullptr &&
-           x->next[static_cast<size_t>(i)]->key < key) {
-      x = x->next[static_cast<size_t>(i)];
+    while (x->next()[i] != nullptr && x->next()[i]->key < key) {
+      x = x->next()[i];
     }
     update[i] = x;
   }
-  SkipNode* cand = x->next[0];
+  SkipNode* cand = x->next()[0];
   if (cand != nullptr && cand->key == key) {
     cand->value = std::move(value);
     return false;
@@ -88,14 +112,10 @@ bool SkipList::insert(uint64_t key, std::vector<uint8_t> value) {
     for (int i = level_; i < lvl; ++i) update[i] = head_;
     level_ = lvl;
   }
-  auto* node = new SkipNode;
-  node->key = key;
-  node->value = std::move(value);
-  node->next.assign(static_cast<size_t>(lvl), nullptr);
+  SkipNode* node = new_node(lvl, key, std::move(value));
   for (int i = 0; i < lvl; ++i) {
-    node->next[static_cast<size_t>(i)] =
-        update[i]->next[static_cast<size_t>(i)];
-    update[i]->next[static_cast<size_t>(i)] = node;
+    node->next()[i] = update[i]->next()[i];
+    update[i]->next()[i] = node;
   }
   ++size_;
   return true;
@@ -104,12 +124,11 @@ bool SkipList::insert(uint64_t key, std::vector<uint8_t> value) {
 const std::vector<uint8_t>* SkipList::find(uint64_t key) const {
   const SkipNode* x = head_;
   for (int i = level_ - 1; i >= 0; --i) {
-    while (x->next[static_cast<size_t>(i)] != nullptr &&
-           x->next[static_cast<size_t>(i)]->key < key) {
-      x = x->next[static_cast<size_t>(i)];
+    while (x->next()[i] != nullptr && x->next()[i]->key < key) {
+      x = x->next()[i];
     }
   }
-  const SkipNode* cand = x->next[0];
+  const SkipNode* cand = x->next()[0];
   if (cand != nullptr && cand->key == key) return &cand->value;
   return nullptr;
 }
@@ -118,23 +137,18 @@ bool SkipList::erase(uint64_t key) {
   SkipNode* update[kMaxLevel];
   SkipNode* x = head_;
   for (int i = level_ - 1; i >= 0; --i) {
-    while (x->next[static_cast<size_t>(i)] != nullptr &&
-           x->next[static_cast<size_t>(i)]->key < key) {
-      x = x->next[static_cast<size_t>(i)];
+    while (x->next()[i] != nullptr && x->next()[i]->key < key) {
+      x = x->next()[i];
     }
     update[i] = x;
   }
-  SkipNode* cand = x->next[0];
+  SkipNode* cand = x->next()[0];
   if (cand == nullptr || cand->key != key) return false;
   for (int i = 0; i < level_; ++i) {
-    if (update[i]->next[static_cast<size_t>(i)] == cand) {
-      update[i]->next[static_cast<size_t>(i)] =
-          cand->next[static_cast<size_t>(i)];
-    }
+    if (update[i]->next()[i] == cand) update[i]->next()[i] = cand->next()[i];
   }
-  delete cand;
-  while (level_ > 1 &&
-         head_->next[static_cast<size_t>(level_ - 1)] == nullptr) {
+  delete_node(cand);
+  while (level_ > 1 && head_->next()[level_ - 1] == nullptr) {
     --level_;
   }
   --size_;
@@ -147,20 +161,21 @@ const std::vector<uint8_t>& SkipList::Iterator::value() const {
   return node_->value;
 }
 
-void SkipList::Iterator::next() { node_ = node_->next[0]; }
+void SkipList::Iterator::next() { node_ = node_->next()[0]; }
 
 SkipList::Iterator SkipList::seek(uint64_t from) const {
   const SkipNode* x = head_;
   for (int i = level_ - 1; i >= 0; --i) {
-    while (x->next[static_cast<size_t>(i)] != nullptr &&
-           x->next[static_cast<size_t>(i)]->key < from) {
-      x = x->next[static_cast<size_t>(i)];
+    while (x->next()[i] != nullptr && x->next()[i]->key < from) {
+      x = x->next()[i];
     }
   }
-  return Iterator(x->next[0]);
+  return Iterator(x->next()[0]);
 }
 
-SkipList::Iterator SkipList::begin() const { return Iterator(head_->next[0]); }
+SkipList::Iterator SkipList::begin() const {
+  return Iterator(head_->next()[0]);
+}
 
 void SkipList::copy_from(const SkipList& other) {
   clear();

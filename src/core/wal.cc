@@ -16,17 +16,53 @@ ReplicatedWal::ReplicatedWal(ReplicationGroup& group, RegionLayout layout,
   assert(opts_.staged_capacity >= 1);
 }
 
-uint32_t ReplicatedWal::crc32_update(uint32_t crc, const void* data,
-                                     size_t len) {
-  // CRC-32 (reflected 0xEDB88320), table-free bitwise variant; the log
-  // payloads are small enough that simplicity beats a table here.
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    crc ^= p[i];
-    for (int b = 0; b < 8; ++b) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+namespace {
+
+// Slice-by-8 tables for CRC-32 (IEEE, reflected 0xEDB88320): t[0] is the
+// classic byte-at-a-time table; t[k][b] is the CRC of byte b followed by
+// k zero bytes, so eight table lookups fold eight input bytes at once.
+// Built at compile time: no static initializer, no allocation.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables make_crc32_tables() {
+  Crc32Tables tb{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int b = 0; b < 8; ++b) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    tb.t[0][i] = c;
+  }
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tb.t[k - 1][i];
+      tb.t[k][i] = (prev >> 8) ^ tb.t[0][prev & 0xFFu];
     }
   }
+  return tb;
+}
+
+constexpr Crc32Tables kCrc32 = make_crc32_tables();
+
+inline uint32_t load_le32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+uint32_t ReplicatedWal::crc32_update(uint32_t crc, const void* data,
+                                     size_t len) {
+  const auto& t = kCrc32.t;
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = load_le32(p) ^ crc;
+    const uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   return crc;
 }
 

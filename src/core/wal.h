@@ -141,6 +141,15 @@ class ReplicatedWal {
   /// (used after a coordinator restart in tests).
   void reload_pointers();
 
+  /// Record checksum: CRC-32 (IEEE, reflected 0xEDB88320, init and final
+  /// XOR 0xFFFFFFFF), computed slice-by-8. crc32_update() streams: feed
+  /// it any chunking of the bytes, starting from 0xFFFFFFFF, and invert
+  /// the result.
+  static uint32_t crc32_update(uint32_t crc, const void* data, size_t len);
+  static uint32_t crc32(const void* data, size_t len) {
+    return ~crc32_update(0xFFFFFFFFu, data, len);
+  }
+
  private:
   static constexpr uint32_t kRecordMagic = 0x57414C21;  // "WAL!"
   static constexpr uint32_t kWrapMagic = 0x57524150;    // "WRAP"
@@ -181,11 +190,6 @@ class ReplicatedWal {
     bool live = false;
     Done done;
   };
-
-  static uint32_t crc32_update(uint32_t crc, const void* data, size_t len);
-  static uint32_t crc32(const void* data, size_t len) {
-    return ~crc32_update(0xFFFFFFFFu, data, len);
-  }
 
   /// Serializes the record piecewise straight into the log ring at
   /// virtual offset `voff` (header, then per entry: EntryHeader, data,

@@ -2,22 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 // Binary-wide allocation counter: the steady-state zero-allocation claim
-// in DESIGN.md is enforced here, not just asserted in prose. The default
-// operator new[] forwards to operator new, so this hook sees it too.
-static uint64_t g_alloc_count = 0;
-
-void* operator new(std::size_t n) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// in DESIGN.md is enforced here, not just asserted in prose.
+#include "alloc_count.h"
 
 namespace hyperloop::sim {
 namespace {

@@ -10,10 +10,9 @@
 // std::function spill, or a payload copy on the hot path fails here.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
+#include "alloc_count.h"
 #include "core/hyperloop_group.h"
 #include "core/lock.h"
 #include "core/server.h"
@@ -24,16 +23,6 @@
 #include "rdma/network.h"
 #include "rdma/nic.h"
 #include "sim/event_loop.h"
-
-static uint64_t g_alloc_count = 0;
-
-void* operator new(std::size_t n) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace hyperloop::rdma {
 namespace {

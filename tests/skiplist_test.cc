@@ -149,5 +149,134 @@ TEST(SkipList, LargeScale) {
   for (uint64_t k = 0; k < n; k += 997) EXPECT_NE(s.find(k), nullptr);
 }
 
+// The memtable's tower draw, mirrored here as an oracle: geometric with
+// p = 1/4 from a xorshift64 seeded with `seed | 1`.
+int first_tower_height(uint64_t seed) {
+  uint64_t x = seed | 1;
+  int lvl = 1;
+  while (lvl < SkipList::kMaxLevel) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    if ((x & 3) != 0) break;
+    ++lvl;
+  }
+  return lvl;
+}
+
+// A kMaxLevel tower is a 4^-15 event, out of reach of any random run, so
+// this seed was solved for over GF(2) (xorshift64 is linear): its first
+// 15 draws all have their low two bits clear.
+constexpr uint64_t kTallSeed = 0x35141df7;
+
+using Model = std::map<uint64_t, std::vector<uint8_t>>;
+
+void expect_same_contents(const SkipList& s, const Model& model) {
+  ASSERT_EQ(s.size(), model.size());
+  auto it = s.begin();
+  for (const auto& [k, v] : model) {
+    ASSERT_TRUE(it.valid());
+    ASSERT_EQ(it.key(), k);
+    ASSERT_EQ(it.value(), v);
+    it.next();
+  }
+  EXPECT_FALSE(it.valid());
+}
+
+// Runs `n` random insert/overwrite/erase/find/seek ops on `s` and `model`
+// side by side, with keys in [0, key_range) and values of 0-64 bytes.
+void run_random_ops(SkipList& s, Model& model, sim::Rng& rng, int n,
+                    uint64_t key_range) {
+  for (int step = 0; step < n; ++step) {
+    const uint64_t k = rng.next_below(key_range);
+    const double p = rng.next_double();
+    if (p < 0.45) {
+      std::vector<uint8_t> v(rng.next_below(65));
+      for (auto& b : v) b = static_cast<uint8_t>(rng.next_u64());
+      const bool fresh = model.find(k) == model.end();
+      ASSERT_EQ(s.insert(k, v), fresh) << "step " << step;
+      model[k] = std::move(v);
+    } else if (p < 0.65) {
+      ASSERT_EQ(s.erase(k), model.erase(k) > 0) << "step " << step;
+    } else if (p < 0.85) {
+      const auto* got = s.find(k);
+      const auto it = model.find(k);
+      if (it == model.end()) {
+        ASSERT_EQ(got, nullptr) << "step " << step;
+      } else {
+        ASSERT_NE(got, nullptr) << "step " << step;
+        ASSERT_EQ(*got, it->second) << "step " << step;
+      }
+    } else {
+      auto sit = s.seek(k);
+      auto mit = model.lower_bound(k);
+      for (int i = 0; i < 4 && mit != model.end(); ++i, ++mit, sit.next()) {
+        ASSERT_TRUE(sit.valid()) << "step " << step;
+        ASSERT_EQ(sit.key(), mit->first) << "step " << step;
+        ASSERT_EQ(sit.value(), mit->second) << "step " << step;
+      }
+      if (mit == model.end()) {
+        ASSERT_FALSE(sit.valid()) << "step " << step;
+      }
+    }
+    ASSERT_EQ(s.size(), model.size()) << "step " << step;
+  }
+}
+
+TEST(SkipList, OracleRandomOpsWithMaxTowersClearMoveAndCopy) {
+  ASSERT_EQ(first_tower_height(kTallSeed), SkipList::kMaxLevel);
+  sim::Rng rng(7);
+  Model model;
+  SkipList s(kTallSeed);
+  // The first insert builds a kMaxLevel tower; erasing it later shrinks
+  // the list's level back down through every tower height.
+  ASSERT_TRUE(s.insert(rng.next_below(4096), {1, 2, 3}));
+  model[s.begin().key()] = {1, 2, 3};
+  run_random_ops(s, model, rng, 30000, 4096);
+  expect_same_contents(s, model);
+
+  // clear() then reuse: the head tower must be reset, not just unlinked.
+  s.clear();
+  model.clear();
+  EXPECT_TRUE(s.empty());
+  EXPECT_FALSE(s.begin().valid());
+  EXPECT_FALSE(s.seek(0).valid());
+  run_random_ops(s, model, rng, 20000, 4096);
+  expect_same_contents(s, model);
+
+  // Move-construct, keep working on the destination.
+  SkipList moved(std::move(s));
+  expect_same_contents(moved, model);
+  run_random_ops(moved, model, rng, 15000, 4096);
+
+  // Move-assign onto a populated list: its own nodes must be freed.
+  SkipList target(kTallSeed);
+  for (uint64_t k = 0; k < 1000; ++k) target.insert(k * 3, val(k));
+  target = std::move(moved);
+  expect_same_contents(target, model);
+  run_random_ops(target, model, rng, 15000, 4096);
+
+  // copy_from onto a populated list: a deep, independent copy.
+  SkipList copy(kTallSeed ^ 0x100);
+  for (uint64_t k = 0; k < 500; ++k) copy.insert(k, val(k));
+  copy.copy_from(target);
+  expect_same_contents(copy, model);
+  Model copy_model = model;
+  run_random_ops(target, model, rng, 10000, 4096);
+  expect_same_contents(copy, copy_model);
+  run_random_ops(copy, copy_model, rng, 10000, 4096);
+  expect_same_contents(target, model);
+  expect_same_contents(copy, copy_model);
+
+  // Erase everything: every tower height unlinks cleanly.
+  for (const auto& [k, v] : Model(model)) {
+    ASSERT_TRUE(target.erase(k));
+    model.erase(k);
+  }
+  EXPECT_TRUE(target.empty());
+  run_random_ops(target, model, rng, 1000, 64);
+  expect_same_contents(target, model);
+}
+
 }  // namespace
 }  // namespace hyperloop::apps

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/hyperloop_group.h"
 #include "core/naive_group.h"
 #include "core/server.h"
+#include "sim/rng.h"
 
 namespace hyperloop::core {
 namespace {
@@ -283,6 +286,60 @@ TEST_P(WalTest, UncommittedTailIsNotReplayed) {
         r.mem().write(base + off, src, len);
       });
   EXPECT_EQ(applied, 1u);  // only the committed record
+}
+
+// Bitwise CRC-32 (reflected 0xEDB88320): the definition the log format
+// was written against, kept here as the oracle for the table-driven one.
+uint32_t reference_crc32_update(uint32_t crc, const uint8_t* p, size_t len) {
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int b = 0; b < 8; ++b) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc;
+}
+
+std::vector<uint8_t> random_bytes(sim::Rng& rng, size_t n) {
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.next_u64());
+  return out;
+}
+
+TEST(WalCrc, KnownAnswer) {
+  EXPECT_EQ(ReplicatedWal::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ReplicatedWal::crc32("", 0), 0u);
+}
+
+TEST(WalCrc, MatchesBitwiseAtEveryOffsetAndLength) {
+  sim::Rng rng(11);
+  const std::vector<uint8_t> buf = random_bytes(rng, 2048 + 8);
+  for (size_t off = 0; off < 8; ++off) {
+    // One bitwise pass per start offset yields every prefix's reference.
+    uint32_t ref = 0xFFFFFFFFu;
+    for (size_t len = 0; len <= 2048; ++len) {
+      ASSERT_EQ(ReplicatedWal::crc32(buf.data() + off, len), ~ref)
+          << "off " << off << " len " << len;
+      ref = reference_crc32_update(ref, buf.data() + off + len, 1);
+    }
+  }
+}
+
+TEST(WalCrc, StreamingMatchesBitwiseUnderRandomChunking) {
+  sim::Rng rng(12);
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t len = rng.next_below(2049);
+    const std::vector<uint8_t> buf = random_bytes(rng, len);
+    const uint32_t want =
+        ~reference_crc32_update(0xFFFFFFFFu, buf.data(), buf.size());
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t pos = 0; pos < len;) {
+      const size_t n = std::min<size_t>(rng.next_below(40), len - pos);
+      crc = ReplicatedWal::crc32_update(crc, buf.data() + pos, n);
+      pos += n;
+    }
+    ASSERT_EQ(~crc, want) << "trial " << trial << " len " << len;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, WalTest,
