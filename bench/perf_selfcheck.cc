@@ -100,6 +100,50 @@ void BM_EventLoopWide(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopWide)->Arg(64)->Arg(1024);
 
+// Mixed horizons: sub-us event chains next to ~300 pending ms-scale
+// timers, the shape of doc-f-tenants (tenant think times and retry,
+// refill and sync ticks wait behind a datapath whose events fire under
+// 1 us ahead). BM_EventLoopWide keeps every event a few ns out, so it
+// never exercises the far tier of the queue.
+void BM_EventLoopMixedHorizon(benchmark::State& state) {
+  struct Fast {
+    sim::EventLoop* loop;
+    uint64_t* remaining;
+    uint32_t k;
+    void operator()() const {
+      if (*remaining == 0) return;
+      --*remaining;
+      loop->schedule_after(100 + (k * 37 + *remaining) % 800,
+                           Fast{loop, remaining, k});
+    }
+  };
+  struct Timer {
+    sim::EventLoop* loop;
+    const uint64_t* remaining;
+    sim::Duration period;
+    void operator()() const {
+      if (*remaining != 0) loop->schedule_after(period, *this);
+    }
+  };
+  uint64_t events = 0;
+  for (auto _ : state) {
+    sim::EventLoop loop;
+    uint64_t remaining = 100000;
+    for (uint32_t k = 0; k < 8; ++k) {
+      loop.schedule_after(k, Fast{&loop, &remaining, k});
+    }
+    for (int i = 0; i < 300; ++i) {
+      const sim::Duration period = sim::msec(1) + i * sim::usec(13);
+      loop.schedule_after(period, Timer{&loop, &remaining, period});
+    }
+    loop.run();
+    benchmark::DoNotOptimize(remaining);
+    events += loop.executed();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+BENCHMARK(BM_EventLoopMixedHorizon);
+
 // Schedule/cancel churn: timers that are armed and disarmed before firing
 // (the RC retransmission-timer pattern — every ACK cancels a timer).
 void BM_EventLoopScheduleCancel(benchmark::State& state) {

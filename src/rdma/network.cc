@@ -6,7 +6,7 @@
 namespace hyperloop::rdma {
 
 NicId Network::attach(
-    sim::SmallFn<void(Packet)> on_packet,
+    sim::SmallFn<void(Packet&&)> on_packet,
     sim::SmallFn<void(NicId, std::vector<uint8_t>)> on_datagram) {
   const NicId id = static_cast<NicId>(endpoints_.size());
   endpoints_.push_back(

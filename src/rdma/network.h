@@ -43,7 +43,7 @@ class Network {
   /// `on_datagram` (optional) receives raw datagrams. Returns the NicId.
   /// Handlers use SmallFn inline storage: dispatching a packet to an
   /// endpoint is two indirect calls, never a std::function allocation.
-  NicId attach(sim::SmallFn<void(Packet)> on_packet,
+  NicId attach(sim::SmallFn<void(Packet&&)> on_packet,
                sim::SmallFn<void(NicId src, std::vector<uint8_t>)> on_datagram =
                    {});
 
@@ -76,7 +76,7 @@ class Network {
 
  private:
   struct Endpoint {
-    sim::SmallFn<void(Packet)> on_packet;
+    sim::SmallFn<void(Packet&&)> on_packet;
     sim::SmallFn<void(NicId, std::vector<uint8_t>)> on_datagram;
     sim::Time tx_busy_until = 0;
   };

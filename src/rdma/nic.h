@@ -173,7 +173,7 @@ class Nic {
   void grant_ownership(QueuePair* qp, uint64_t slot_seq);
 
   /// Posts a receive WQE.
-  void post_recv(QueuePair* qp, RecvWqe wqe);
+  void post_recv(QueuePair* qp, const RecvWqe& wqe);
 
   /// Creates a shared receive queue.
   SharedReceiveQueue* create_srq();
@@ -190,7 +190,7 @@ class Nic {
 
   /// Posts a receive WQE to an SRQ (re-plays any receiver-not-ready
   /// packet parked on an attached QP).
-  void post_srq_recv(SharedReceiveQueue* srq, RecvWqe wqe);
+  void post_srq_recv(SharedReceiveQueue* srq, const RecvWqe& wqe);
 
   QueuePair* qp(uint32_t qpn) { return qps_.get(qpn); }
   CompletionQueue* cq(uint32_t id) { return cqs_.get(id); }
@@ -217,12 +217,15 @@ class Nic {
                         uint32_t bytes);
 
   // --- receive side ---
-  void on_packet(Packet p);
-  void handle_packet(Packet p);
+  // Inbound packets are passed by rvalue reference from the fabric to the
+  // responder: moved once, into the receive-pipeline closure, and never
+  // copied.
+  void on_packet(Packet&& p);
+  void handle_packet(Packet&& p);
   // Post-PSN-gate delivery. Called directly when replaying a parked
   // receiver-not-ready packet (whose PSN was already accepted when it
   // first arrived and parked).
-  void dispatch_packet(Packet p);
+  void dispatch_packet(Packet&& p);
   void responder_send(Packet& p, QueuePair* dst);
   void responder_write(Packet& p);
   void responder_read(Packet& p);

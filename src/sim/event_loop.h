@@ -15,9 +15,20 @@
 //     index into the slab, compare generations — no hashing, no map.
 //     Generations are bumped when a slot is recycled, so a stale id for a
 //     reused slot is rejected.
-//   * Pending events are ordered by a 4-ary min-heap of (time, seq, slot)
-//     entries. 4-ary halves tree depth versus binary, and sift steps stay
-//     inside one cache line of entries.
+//   * Pending events are ordered by a two-tier queue of 16-byte
+//     (time, key) entries, where key packs (seq << kSlotBits | slot
+//     index), so comparing keys compares insertion order. A small near
+//     heap holds every event earlier than a moving horizon_; events at or
+//     past it wait in a far heap. Most events fire well under a
+//     microsecond ahead, so they sift through a heap a few entries deep
+//     while long timers (think times, retry and refill ticks) stay out of
+//     the way. When the near heap drains, the earliest kNearWindow of far
+//     events moves in and the horizon advances. Every near event is
+//     earlier than the horizon and every far event is at or after it, so
+//     pop order is exactly the total order (time, seq).
+//   * Both tiers are 4-ary min-heaps: a family of four 16-byte children
+//     spans 64 bytes, and the smallest is picked with a branch-free
+//     min-of-4 over sentinel-padded storage. Pops run bottom-up.
 //   * Cancellation is lazy: the slot is marked dead (its callback is
 //     destroyed eagerly to release captured resources) and the heap entry
 //     is skipped and recycled when it surfaces.
@@ -49,13 +60,38 @@ using EventId = uint64_t;
 /// Events are closures ordered by (time, insertion sequence). `run()`
 /// drains the queue; `run_until()` stops the clock at a given instant,
 /// leaving later events pending. Cancellation is lazy: cancelled events
-/// stay in the heap but are skipped when popped.
+/// stay queued but are skipped when popped.
 class EventLoop {
  public:
   /// Callbacks whose size is <= this are stored inline in the slab (no
   /// heap allocation). Sized so a lambda capturing [this, Packet] in the
   /// RDMA delivery path fits.
   static constexpr size_t kInlineCallbackBytes = 112;
+
+  /// Width of the near tier: when the near heap drains, far events within
+  /// this span of the earliest one move in. 86-91% of events are
+  /// scheduled under 1 us ahead; with 8 us few of them miss the near tier
+  /// while ms-scale timers stay far. Throughput is flat from 4 to 32 us
+  /// (EXPERIMENTS.md, "Two-tier event queue", has the sensitivity runs).
+  static constexpr Duration kNearWindow = usec(8);
+
+  /// Low bits of a queue key that hold the slot index; the high bits hold
+  /// the insertion sequence number.
+  static constexpr unsigned kSlotBits = 24;
+  /// Exclusive bounds of the two packed fields. The sequence bound leaves
+  /// the all-ones key to the heap sentinel.
+  static constexpr uint64_t kMaxSlots = uint64_t{1} << kSlotBits;
+  static constexpr uint64_t kMaxSeq = (uint64_t{1} << (64 - kSlotBits)) - 1;
+
+  /// Packs (seq, slot index) into one queue key. Terminates the process,
+  /// in every build type, if either value exceeds its field: a silent
+  /// wrap would reorder events.
+  static uint64_t pack_key(uint64_t seq, uint32_t idx) {
+    if ((seq >= kMaxSeq) | (idx >= kMaxSlots)) [[unlikely]] {
+      key_overflow(seq, idx);
+    }
+    return (seq << kSlotBits) | idx;
+  }
 
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
@@ -75,7 +111,7 @@ class EventLoop {
     Slot& s = slot(idx);
     emplace_callback(s, std::forward<F>(fn));
     s.state = Slot::kPending;
-    heap_push(HeapEntry{t, seq_++, idx});
+    (t < horizon_ ? near_ : far_).push(Entry{t, pack_key(seq_++, idx)});
     ++live_;
     return (uint64_t{s.gen} << 32) | idx;
   }
@@ -134,16 +170,82 @@ class EventLoop {
     alignas(std::max_align_t) unsigned char storage[kInlineCallbackBytes];
   };
 
-  struct HeapEntry {
+  /// One queued event; 16 bytes, so a 4-ary family spans 64 bytes.
+  struct Entry {
     Time time;
-    uint64_t seq;
-    uint32_t idx;
+    uint64_t key;  // seq << kSlotBits | slot index
   };
 
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  /// Lexicographic (time, key) order, evaluated without branches.
+  static bool earlier(const Entry& a, const Entry& b) {
+    return (a.time < b.time) | ((a.time == b.time) & (a.key < b.key));
   }
+
+  static uint32_t slot_of(const Entry& e) {
+    return static_cast<uint32_t>(e.key & (kMaxSlots - 1));
+  }
+
+  /// 4-ary min-heap of entries. The array always holds at least kPad
+  /// sentinel entries past the last live one, so every family a sift-down
+  /// visits has four readable children and the min-of-4 needs no bounds
+  /// check. A sentinel sorts after every real entry.
+  class QuadHeap {
+   public:
+    bool empty() const { return n_ == 0; }
+    const Entry& top() const { return v_[0]; }
+
+    void push(const Entry& e) {
+      if (n_ + kPad >= v_.size()) [[unlikely]] grow();
+      size_t i = n_++;
+      while (i > 0) {
+        const size_t parent = (i - 1) >> 2;
+        if (!earlier(e, v_[parent])) break;
+        v_[i] = v_[parent];
+        i = parent;
+      }
+      v_[i] = e;
+    }
+
+    /// Bottom-up pop: the hole left by the top walks down the smaller
+    /// children to a leaf, then the displaced last entry sifts up from
+    /// there. The last entry usually belongs near the bottom, so this
+    /// skips the hard-to-predict compare against it on every level.
+    void pop() {
+      const Entry last = v_[--n_];
+      v_[n_] = kSentinel;
+      if (n_ == 0) return;
+      size_t i = 0;
+      for (;;) {
+        const size_t first = i * 4 + 1;
+        if (first >= n_) break;
+        const Entry* c = &v_[first];
+        const size_t a = earlier(c[1], c[0]) ? 1 : 0;
+        const size_t b = earlier(c[3], c[2]) ? 3 : 2;
+        const size_t best = first + (earlier(c[b], c[a]) ? b : a);
+        v_[i] = v_[best];
+        i = best;
+      }
+      while (i > 0) {
+        const size_t parent = (i - 1) >> 2;
+        if (!earlier(last, v_[parent])) break;
+        v_[i] = v_[parent];
+        i = parent;
+      }
+      v_[i] = last;
+    }
+
+   private:
+    // Out of line: push is inlined into every schedule_at instantiation,
+    // and the vector growth path runs only at a new high-water mark.
+    [[gnu::noinline]] void grow() { v_.push_back(kSentinel); }
+
+    static constexpr size_t kPad = 3;
+    static constexpr Entry kSentinel{INT64_MAX, ~uint64_t{0}};
+    std::vector<Entry> v_ = std::vector<Entry>(kPad, kSentinel);
+    size_t n_ = 0;
+  };
+
+  [[noreturn]] static void key_overflow(uint64_t seq, uint32_t idx);
 
   // First-chunk fast path: simulations rarely exceed kChunkSize live
   // events, and the branch predicts perfectly, replacing two dependent
@@ -219,18 +321,29 @@ class EventLoop {
     }
   }
 
-  void heap_push(HeapEntry e) {
-    heap_.push_back(e);
-    size_t i = heap_.size() - 1;
-    while (i > 0) {
-      const size_t parent = (i - 1) >> 2;
-      if (!earlier(heap_[i], heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
-    }
+  /// Moves the earliest kNearWindow of far events into the empty near
+  /// heap and advances the horizon past them. They leave the far heap in
+  /// order, so each push into the near heap stops at its first compare.
+  void refill() {
+    const Time first = far_.top().time;
+    horizon_ = first > INT64_MAX - kNearWindow ? INT64_MAX : first + kNearWindow;
+    do {
+      near_.push(far_.top());
+      far_.pop();
+    } while (!far_.empty() && far_.top().time < horizon_);
   }
 
-  void heap_pop();
+  void fire(Slot& s, uint32_t idx, Time t) {
+    now_ = t;
+    // Mark fired before invoking so a self-cancel inside the callback
+    // reports false (matches the previous map-erase-before-call behavior).
+    s.state = Slot::kFiring;
+    --live_;
+    s.invoke(s.storage);
+    destroy_callback(s);
+    recycle(s, idx);
+    ++executed_;
+  }
 
   Time now_ = 0;
   uint64_t seq_ = 0;
@@ -243,7 +356,11 @@ class EventLoop {
   Slot* chunk0_ = nullptr;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<uint32_t> free_;
-  std::vector<HeapEntry> heap_;
+  // Invariant: every near_ entry is earlier than horizon_ and every far_
+  // entry is at or after it.
+  Time horizon_ = 0;
+  QuadHeap near_;
+  QuadHeap far_;
 };
 
 }  // namespace hyperloop::sim

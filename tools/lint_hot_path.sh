@@ -40,6 +40,11 @@ src/rdma/memory.h
 src/rdma/memory.cc
 src/rdma/packet.h
 src/rdma/wqe.h
+src/sim/event_loop.h
+src/sim/event_loop.cc
+src/sim/ring.h
+src/sim/cpu_scheduler.h
+src/sim/cpu_scheduler.cc
 "
 
 status=0
