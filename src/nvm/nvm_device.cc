@@ -10,7 +10,7 @@ constexpr uint64_t kLineMask = DirtyBitmap::kLineBytes - 1;
 }
 
 NvmDevice::NvmDevice(rdma::HostMemory& mem, size_t size)
-    : mem_(mem), base_(mem.alloc(size, 4096)), size_(size), durable_(size, 0),
+    : mem_(mem), base_(mem.alloc(size, 4096)), size_(size), durable_(size),
       dirty_(size) {
   // Watch exactly the NVM range: stores elsewhere (WQE rings, CQEs,
   // payload staging) are filtered out by HostMemory before any call.

@@ -7,7 +7,9 @@
 //
 //   - The "live" bytes reside in the server's HostMemory (visible to all
 //     readers immediately).
-//   - A durable shadow copy holds what would survive power loss.
+//   - A durable shadow copy holds what would survive power loss. It is a
+//     rdma::LazyArena like the live bytes, so a never-persisted line
+//     costs no memory and reads back as the zeroes it started as.
 //   - Every write inside the NVM range is recorded as dirty (volatile).
 //   - persist() copies live -> durable for a range (CPU cache-line flush
 //     or the NIC's gFLUSH-triggered cache write-back).
@@ -23,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "nvm/dirty_bitmap.h"
 #include "rdma/memory.h"
@@ -82,7 +83,7 @@ class NvmDevice {
   rdma::HostMemory& mem_;
   rdma::Addr base_;
   size_t size_;
-  std::vector<uint8_t> durable_;
+  rdma::LazyArena durable_;
   DirtyBitmap dirty_;  // offsets relative to base_, 64 B line granularity
   uint64_t next_ = 0;  // bump allocator offset
   uint64_t crashes_ = 0;

@@ -1,27 +1,46 @@
 #include "rdma/memory.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
+#include <new>
 
 namespace hyperloop::rdma {
 
-void HostMemory::advise_hugepages(void* base, size_t len) {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  // Round inward to 2 MB boundaries — madvise wants aligned pages, and
-  // partial huge pages at the edges are not worth asking for.
+LazyArena::LazyArena(size_t size) : size_(size) {
   constexpr uintptr_t kHuge = 2u << 20;
-  uintptr_t lo = (reinterpret_cast<uintptr_t>(base) + kHuge - 1) & ~(kHuge - 1);
-  uintptr_t hi = (reinterpret_cast<uintptr_t>(base) + len) & ~(kHuge - 1);
-  if (hi > lo) madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
-#else
-  (void)base;
-  (void)len;
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t body = (size + page - 1) & ~(page - 1);
+  mapped_ = body + page;
+  // Over-map by one huge page and trim, so the arena starts on a 2 MB
+  // boundary. Which arena offsets share a huge page (and so how much a
+  // run makes resident) is then the same in every run, not a function of
+  // where address-space randomisation put the mapping.
+  const size_t span = mapped_ + kHuge;
+  void* p = mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  const auto raw = reinterpret_cast<uintptr_t>(p);
+  const uintptr_t start = (raw + kHuge - 1) & ~(kHuge - 1);
+  if (start > raw) munmap(p, start - raw);
+  const uintptr_t end = start + mapped_;
+  munmap(reinterpret_cast<void*>(end), raw + span - end);
+  base_ = reinterpret_cast<uint8_t*>(start);
+  if (mprotect(base_ + body, page, PROT_NONE) != 0) {
+    munmap(base_, mapped_);
+    throw std::bad_alloc();
+  }
+#if defined(MADV_HUGEPAGE)
+  // Advisory only, a no-op without THP. A partial huge page at the end
+  // is not worth asking for.
+  const size_t huge = body & ~(kHuge - 1);
+  if (huge > 0) madvise(base_, huge, MADV_HUGEPAGE);
 #endif
 }
+
+LazyArena::~LazyArena() { munmap(base_, mapped_); }
 
 Addr HostMemory::alloc(size_t size, size_t align) {
   assert(align != 0 && (align & (align - 1)) == 0);

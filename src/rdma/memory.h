@@ -1,13 +1,16 @@
 // Per-server host memory and RDMA memory-region registration.
 //
 // Each simulated server owns one flat HostMemory address space (a bump
-// allocator over a byte arena). All mutation goes through write()/
-// write_obj() so that observers — the NVM durability tracker — see every
-// store, whether it came from the CPU or a NIC DMA engine. Observers are
-// range-filtered: each registers the [begin, end) window it watches, and
-// stores outside every watched window skip dispatch with a single compare
-// against the cached union of all windows — WQE patches, CQE writes and
-// payload staging never pay an indirect observer call.
+// allocator over a byte arena). The arena is a LazyArena: anonymous
+// mmap, so the kernel zeroes each page on first touch and set-up costs
+// nothing for the (large) part of a server's DRAM a run never uses.
+// All mutation goes through write()/write_obj() so that observers — the
+// NVM durability tracker — see every store, whether it came from the CPU
+// or a NIC DMA engine. Observers are range-filtered: each registers the
+// [begin, end) window it watches, and stores outside every watched window
+// skip dispatch with a single compare against the cached union of all
+// windows — WQE patches, CQE writes and payload staging never pay an
+// indirect observer call.
 //
 // MrTable models the protection domain: regions are registered with access
 // rights and receive lkey/rkey capabilities; every NIC access is checked
@@ -37,16 +40,38 @@ enum Access : uint32_t {
   kRemoteAtomic = 1u << 3,
 };
 
+/// A fixed-size, zero-initialised byte arena over anonymous mmap.
+///
+/// The kernel supplies zero pages on first touch, so construction is
+/// O(1) whatever the size and an untouched page costs no resident
+/// memory. The mapping starts on a 2 MB boundary and carries
+/// MADV_HUGEPAGE advice (arenas are tens of megabytes and payload copies
+/// stream through them, so 4 KB pages would spend copy time on TLB
+/// refills). One PROT_NONE guard page sits past the page-rounded end, so
+/// a store at size() faults in every build type when size() is a page
+/// multiple, as every server's arena is.
+class LazyArena {
+ public:
+  /// Maps `size` zero bytes; throws std::bad_alloc if the mapping fails.
+  explicit LazyArena(size_t size);
+  ~LazyArena();
+  LazyArena(const LazyArena&) = delete;
+  LazyArena& operator=(const LazyArena&) = delete;
+
+  uint8_t* data() { return base_; }
+  const uint8_t* data() const { return base_; }
+  size_t size() const { return size_; }
+
+ private:
+  uint8_t* base_;
+  size_t size_;
+  size_t mapped_;  // page-rounded size plus the guard page
+};
+
 /// One server's physical memory: arena + bump allocator + write observers.
 class HostMemory {
  public:
-  explicit HostMemory(size_t capacity) {
-    // Advise after the allocation but before the zero-fill touches the
-    // pages, so the kernel can satisfy the first faults with huge pages.
-    bytes_.reserve(capacity);
-    advise_hugepages(bytes_.data(), capacity);
-    bytes_.resize(capacity);
-  }
+  explicit HostMemory(size_t capacity) : bytes_(capacity) {}
   HostMemory(const HostMemory&) = delete;
   HostMemory& operator=(const HostMemory&) = delete;
 
@@ -142,13 +167,6 @@ class HostMemory {
     (void)len;
   }
 
-  /// Asks the kernel to back the arena with huge pages (MADV_HUGEPAGE)
-  /// where available. Arenas are tens of megabytes and every payload
-  /// gather/scatter streams through them, so 4 KB pages spend a
-  /// measurable share of copy time on TLB refills. Advisory only — a
-  /// no-op on kernels or configs without THP.
-  static void advise_hugepages(void* base, size_t len);
-
   /// Fast-path filter: true iff [addr, addr+len) overlaps the union
   /// bounding box of all watched ranges. With no observers watch_hi_ is 0,
   /// so the first compare rejects everything; with the usual single NVM
@@ -160,7 +178,7 @@ class HostMemory {
   /// Out-of-line slow path: dispatch to each overlapping observer.
   void notify(Addr addr, size_t len);
 
-  std::vector<uint8_t> bytes_;
+  LazyArena bytes_;
   size_t next_ = 64;  // keep address 0 unused as a poison value
   std::vector<WriteObserver> observers_;
   Addr watch_lo_ = ~Addr{0};  // union bounding box of watched ranges

@@ -62,9 +62,6 @@ void Nic::connect(QueuePair* qp, NicId remote_nic, uint32_t remote_qpn) {
 
 void Nic::destroy_qp(QueuePair* q) {
   assert(q != nullptr);
-  // Scheduled engine events capture the QueuePair*; destroying mid-WQE
-  // would leave them dangling. Quiesce (drain the send queue) first.
-  assert(!q->engine_running && "destroying a QP with an active engine");
   if (q->retry_timer != 0) {
     loop_.cancel(q->retry_timer);
     q->retry_timer = 0;
@@ -280,20 +277,27 @@ void Nic::execute_local(QueuePair* qp, const Wqe& w) {
       engine_step(qp);
       return;
     }
+    // The DMA and CAS closures below re-resolve the QP by its
+    // generation-tagged qpn at fire time, as engine_step's execute does:
+    // a destroy_qp while the operation is in flight drops the WQE.
     case Opcode::kLocalCopy:
     case Opcode::kWrite: {
       // Local DMA copy: local_addr -> remote_addr.
       const sim::Duration cost = dma_cost(w.d.length);
-      loop_.schedule_after(cost, [this, qp, w] {
+      loop_.schedule_after(cost, [this, qpn = qp->qpn, w] {
+        QueuePair* q = qps_.get(qpn);
+        if (q == nullptr) return;
         mem_.copy(w.d.remote_addr, w.d.local_addr, w.d.length);
         after_dma_write(w.d.remote_addr, w.d.length);
-        local_completion(qp, w, CqStatus::kSuccess, w.d.length);
-        engine_step(qp);
+        local_completion(q, w, CqStatus::kSuccess, w.d.length);
+        engine_step(q);
       });
       return;
     }
     case Opcode::kCas: {
-      loop_.schedule_after(cfg_.cas_cost, [this, qp, w] {
+      loop_.schedule_after(cfg_.cas_cost, [this, qpn = qp->qpn, w] {
+        QueuePair* q = qps_.get(qpn);
+        if (q == nullptr) return;
         uint64_t old = 0;
         mem_.read(w.d.remote_addr, &old, sizeof(old));
         if (old == w.d.compare) {
@@ -303,8 +307,8 @@ void Nic::execute_local(QueuePair* qp, const Wqe& w) {
           mem_.write(w.d.local_addr, &old, sizeof(old));
           after_dma_write(w.d.local_addr, sizeof(old));
         }
-        local_completion(qp, w, CqStatus::kSuccess, 8);
-        engine_step(qp);
+        local_completion(q, w, CqStatus::kSuccess, 8);
+        engine_step(q);
       });
       return;
     }

@@ -145,7 +145,8 @@ class Nic {
   /// Destroys a QP and retires its QPN (generation bump): packets already
   /// in flight toward it resolve to nothing and are dropped as
   /// invalid_qp_drops, even after the slot is recycled by a later
-  /// create_qp. The engine must be idle (no in-progress WQE execution).
+  /// create_qp. WQEs still executing on it (an engine step, a local DMA
+  /// copy or CAS) are dropped when they fire: no store, no completion.
   void destroy_qp(QueuePair* qp);
 
   /// Destroys a CQ. No QP may be blocked on it or using it.

@@ -1,9 +1,13 @@
 #include "rdma/memory.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <vector>
+
+#include "core/server.h"
 
 namespace hyperloop::rdma {
 namespace {
@@ -147,6 +151,46 @@ TEST(HostMemory, ZeroLengthOpsAreNoops) {
   m.read(a, nullptr, 0);
   m.copy(a, a, 0);
   EXPECT_EQ(calls, 0);
+}
+
+// Resident set of this process in bytes (second field of statm).
+size_t resident_bytes() {
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0, resident = 0;
+  const int n = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return n == 2 ? resident * static_cast<size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+TEST(LazyArena, DefaultServerTouchesLittleMemory) {
+  // The default 256 MB DRAM arena + 64 MB NVM shadow are kernel-zeroed
+  // on first touch: building a server must not make them resident.
+  sim::EventLoop loop;
+  Network net{loop, Network::Config{}};
+  const size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  core::Server server(loop, net, core::ServerConfig{});
+  const size_t after = resident_bytes();
+  EXPECT_EQ(server.mem().capacity(), size_t{256} << 20);
+  EXPECT_LT(after, before + (size_t{8} << 20));
+}
+
+TEST(LazyArena, FreshArenaReadsZeroAtItsEnd) {
+  HostMemory m(size_t{64} << 20);
+  EXPECT_EQ(m.read_obj<uint64_t>(m.capacity() - 8), 0u);
+}
+
+TEST(LazyArenaDeathTest, StoreAtCapacityHitsGuardPage) {
+  // The guard page traps an overrun in every build type: through
+  // HostMemory (where Debug's bounds assert may fire first) and through
+  // a raw store that no assert sees.
+  HostMemory m(1 << 20);
+  const uint8_t b = 1;
+  EXPECT_DEATH(m.write(m.capacity(), &b, 1), "");
+  LazyArena a(1 << 20);
+  volatile uint8_t* end = a.data() + a.size();
+  EXPECT_DEATH(*end = 1, "");
 }
 
 TEST(MrTable, RegisterAndCheck) {

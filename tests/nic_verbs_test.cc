@@ -306,6 +306,44 @@ TEST_F(TwoNodes, LocalCopyAndLoopbackCas) {
   EXPECT_EQ(lcq->completion_count(), 2u);
 }
 
+// destroy_qp while a loopback WQE is past execute but before its DMA or
+// CAS lands: the in-flight operation must resolve the QP by qpn and drop,
+// not touch the freed QP (nor store, nor complete).
+TEST_F(TwoNodes, DestroyLoopbackQpDuringLocalCopyDropsIt) {
+  CompletionQueue* lcq = a.create_cq();
+  QueuePair* lqp = a.create_loopback_qp(lcq, 16);
+  constexpr uint32_t kLen = 4096;
+  const Addr src = mem_a.alloc(kLen);
+  const Addr dst = mem_a.alloc(kLen);
+  mem_a.fill(src, 0xab, kLen);
+  a.post_send(lqp, make_local_copy(src, dst, kLen, 1));
+  // Executes at wqe_cost (200 ns); the 4 KB copy lands ~205 ns later.
+  loop.schedule_at(sim::nsec(250), [&] { a.destroy_qp(lqp); });
+  loop.run();
+
+  uint8_t out[kLen];
+  mem_a.read(dst, out, kLen);
+  for (uint8_t b : out) ASSERT_EQ(b, 0);
+  EXPECT_EQ(lcq->completion_count(), 0u);
+}
+
+TEST_F(TwoNodes, DestroyLoopbackQpDuringLocalCasDropsIt) {
+  CompletionQueue* lcq = a.create_cq();
+  QueuePair* lqp = a.create_loopback_qp(lcq, 16);
+  const Addr word = mem_a.alloc(8);
+  const uint64_t init = 5;
+  mem_a.write(word, &init, 8);
+  const Addr land = mem_a.alloc(8);
+  a.post_send(lqp, make_cas(land, 0, word, 0, 5, 6, 2));
+  // Executes at wqe_cost (200 ns); the CAS lands cas_cost (250 ns) later.
+  loop.schedule_at(sim::nsec(250), [&] { a.destroy_qp(lqp); });
+  loop.run();
+
+  EXPECT_EQ(mem_a.read_obj<uint64_t>(word), 5u);
+  EXPECT_EQ(mem_a.read_obj<uint64_t>(land), 0u);
+  EXPECT_EQ(lcq->completion_count(), 0u);
+}
+
 TEST_F(TwoNodes, NotifyFiresOncePerArm) {
   connect();
   int notifications = 0;

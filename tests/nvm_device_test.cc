@@ -166,5 +166,20 @@ TEST_F(Fixture, BoundaryLinesTrackIndependently) {
   EXPECT_STREQ(out, "tail");
 }
 
+TEST(NvmDeviceShadow, CrashOfNeverPersistedFarLineReadsZero) {
+  // The durable shadow is lazily zeroed too: a line at the far end of a
+  // 64 MB device that was written but never persisted reverts to zero.
+  rdma::HostMemory mem{(size_t{64} << 20) + (1 << 20)};
+  NvmDevice nvm{mem, size_t{64} << 20};
+  const rdma::Addr last = nvm.base() + nvm.size() - kLine;
+  const uint64_t ones = ~uint64_t{0};
+  for (uint64_t off = 0; off < kLine; off += 8) mem.write_obj(last + off, ones);
+  nvm.crash();
+  for (uint64_t off = 0; off < kLine; off += 8) {
+    EXPECT_EQ(mem.read_obj<uint64_t>(last + off), 0u);
+  }
+  EXPECT_EQ(nvm.dirty_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace hyperloop::nvm
