@@ -22,17 +22,13 @@ Wqe placeholder() {
 
 constexpr uint64_t kCasTag = uint64_t{1} << 62;
 
-uint32_t next_pow2(uint32_t v) {
-  uint32_t n = 1;
-  while (n < v) n <<= 1;
-  return n;
-}
-
 }  // namespace
 
 FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
                          Config cfg)
-    : client_(client), cfg_(cfg) {
+    : client_(client),
+      cfg_(cfg),
+      window_(cfg.max_inflight, 4 * cfg.max_inflight) {
   assert(replicas.size() >= 2 && "fan-out needs a primary and >=1 backup");
   // Primary rearm posts 4 + 3*K SGEs per slot; keep K within the inline
   // SgeList capacity (same group-size-8 cap as the naive/tcp baselines).
@@ -57,16 +53,10 @@ FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
       ack_base_, uint64_t{ack_stride} * cfg_.max_inflight * 2,
       rdma::kRemoteWrite | rdma::kLocalWrite);
 
-  cq_down_ = client_.nic().create_cq();
-  cq_up_ = client_.nic().create_cq();
-  qp_down_ =
-      client_.nic().create_qp(cq_down_, nullptr, cfg_.max_inflight * 4 + 16);
-
-  // Backup/primary acks can complete a hair out of order relative to the
-  // client-CAS ack stream, so the direct-mapped table gets 4x the credit
-  // window of headroom (see PendingSlot).
-  pending_.resize(next_pow2(cfg_.max_inflight * 4));
-  pending_mask_ = static_cast<uint32_t>(pending_.size() - 1);
+  cq_down_ = verbs_.create_cq(client_.nic());
+  cq_up_ = verbs_.create_cq(client_.nic());
+  qp_down_ = verbs_.create_qp(client_.nic(), cq_down_, nullptr,
+                              cfg_.max_inflight * 4 + 16);
   zero_scratch_.assign(ack_stride, 0);
   cas_scratch_.resize(1 + K);
 
@@ -103,55 +93,8 @@ FanoutGroup::~FanoutGroup() { stop(); }
 void FanoutGroup::stop() {
   if (stopped_) return;
   stopped_ = true;
-
-  for (PendingSlot& slot : pending_) {
-    if (!slot.live) continue;
-    slot.live = false;
-    slot.done.reset();
-    slot.cas_done.reset();
-    ++aborted_ops_;
-  }
-  aborted_ops_ += waiting_.size();
-  waiting_.clear();
-  inflight_ = 0;
-
-  // Release NIC resources; QPs before the CQs they reference (destroying
-  // a WAIT-parked QP unlinks it from the CQ's waiter list).
-  {
-    rdma::Nic& nic = primary_.server->nic();
-    if (primary_.qp_prev) nic.destroy_qp(primary_.qp_prev);
-    if (primary_.qp_loop) nic.destroy_qp(primary_.qp_loop);
-    for (rdma::QueuePair* qp : primary_.qp_out) nic.destroy_qp(qp);
-    primary_.qp_out.clear();
-    if (primary_.cq_recv) nic.destroy_cq(primary_.cq_recv);
-    if (primary_.cq_loop) nic.destroy_cq(primary_.cq_loop);
-    for (rdma::CompletionQueue* cq : primary_.cq_out) nic.destroy_cq(cq);
-    primary_.cq_out.clear();
-    primary_.qp_prev = primary_.qp_loop = nullptr;
-    primary_.cq_recv = primary_.cq_loop = nullptr;
-  }
-  for (Backup& b : backups_) {
-    rdma::Nic& nic = b.server->nic();
-    if (b.qp_prev) nic.destroy_qp(b.qp_prev);
-    if (b.qp_ack) nic.destroy_qp(b.qp_ack);
-    if (b.qp_loop) nic.destroy_qp(b.qp_loop);
-    if (b.cq_recv) nic.destroy_cq(b.cq_recv);
-    if (b.cq_ack) nic.destroy_cq(b.cq_ack);
-    if (b.cq_loop) nic.destroy_cq(b.cq_loop);
-    b.qp_prev = b.qp_ack = b.qp_loop = nullptr;
-    b.cq_recv = b.cq_ack = b.cq_loop = nullptr;
-  }
-  {
-    rdma::Nic& nic = client_.nic();
-    if (qp_down_) nic.destroy_qp(qp_down_);
-    for (rdma::QueuePair* qp : qp_acks_) nic.destroy_qp(qp);
-    qp_acks_.clear();
-    qp_up_ = nullptr;
-    if (cq_down_) nic.destroy_cq(cq_down_);
-    if (cq_up_) nic.destroy_cq(cq_up_);
-    qp_down_ = nullptr;
-    cq_down_ = cq_up_ = nullptr;
-  }
+  aborted_ops_ += window_.abort_all();
+  verbs_.release();
 }
 
 // ------------------------------------------------------------------ setup --
@@ -172,21 +115,21 @@ void FanoutGroup::setup_primary() {
   primary_.staging_base =
       mem.alloc(uint64_t{primary_.staging_slot} * cfg_.ring_slots, 64);
 
-  primary_.cq_recv = nic.create_cq();
-  primary_.qp_prev = nic.create_qp(nullptr, primary_.cq_recv, cfg_.ring_slots);
-  primary_.cq_loop = nic.create_cq();
-  primary_.qp_loop = nic.create_loopback_qp(primary_.cq_loop,
-                                            cfg_.ring_slots * 3);
+  primary_.cq_recv = verbs_.create_cq(nic);
+  primary_.qp_prev =
+      verbs_.create_qp(nic, nullptr, primary_.cq_recv, cfg_.ring_slots);
+  primary_.cq_loop = verbs_.create_cq(nic);
+  primary_.qp_loop =
+      verbs_.create_loopback_qp(nic, primary_.cq_loop, cfg_.ring_slots * 3);
   for (size_t b = 0; b < K; ++b) {
-    primary_.cq_out.push_back(nic.create_cq());
-    primary_.qp_out.push_back(
-        nic.create_qp(primary_.cq_out[b], nullptr, cfg_.ring_slots * 4));
+    primary_.cq_out.push_back(verbs_.create_cq(nic));
+    primary_.qp_out.push_back(verbs_.create_qp(nic, primary_.cq_out[b],
+                                               nullptr, cfg_.ring_slots * 4));
   }
-  // The primary's own ACK rides the last out-queue pair... no: a
-  // dedicated ack QP keeps thresholds simple.
-  primary_.cq_out.push_back(nic.create_cq());
-  primary_.qp_out.push_back(
-      nic.create_qp(primary_.cq_out[K], nullptr, cfg_.ring_slots * 2));
+  // The primary's own ACK gets a dedicated QP: it keeps thresholds simple.
+  primary_.cq_out.push_back(verbs_.create_cq(nic));
+  primary_.qp_out.push_back(verbs_.create_qp(nic, primary_.cq_out[K], nullptr,
+                                             cfg_.ring_slots * 2));
 
   const size_t arena_end = mem.used();
   primary_.ring_lkey =
@@ -207,12 +150,12 @@ void FanoutGroup::setup_backup(size_t bi) {
 
   const size_t arena_start = mem.used();
   b.result_base = mem.alloc(uint64_t{8} * cfg_.ring_slots, 64);
-  b.cq_recv = nic.create_cq();
-  b.qp_prev = nic.create_qp(nullptr, b.cq_recv, cfg_.ring_slots);
-  b.cq_loop = nic.create_cq();
-  b.qp_loop = nic.create_loopback_qp(b.cq_loop, cfg_.ring_slots * 3);
-  b.cq_ack = nic.create_cq();
-  b.qp_ack = nic.create_qp(b.cq_ack, nullptr, cfg_.ring_slots * 2);
+  b.cq_recv = verbs_.create_cq(nic);
+  b.qp_prev = verbs_.create_qp(nic, nullptr, b.cq_recv, cfg_.ring_slots);
+  b.cq_loop = verbs_.create_cq(nic);
+  b.qp_loop = verbs_.create_loopback_qp(nic, b.cq_loop, cfg_.ring_slots * 3);
+  b.cq_ack = verbs_.create_cq(nic);
+  b.qp_ack = verbs_.create_qp(nic, b.cq_ack, nullptr, cfg_.ring_slots * 2);
   const size_t arena_end = mem.used();
   b.ring_lkey =
       nic.register_mr(arena_start, arena_end - arena_start, rdma::kLocalWrite)
@@ -221,40 +164,24 @@ void FanoutGroup::setup_backup(size_t bi) {
 
 void FanoutGroup::wire() {
   const size_t K = backups_.size();
-  // client <-> primary.
-  client_.nic().connect(qp_down_, primary_.server->nic().id(),
-                        primary_.qp_prev->qpn);
-  primary_.server->nic().connect(primary_.qp_prev, client_.nic().id(),
-                                 qp_down_->qpn);
+  rdma::Nic& cnic = client_.nic();
+  rdma::Nic& pnic = primary_.server->nic();
+  rdma::connect_rc(cnic, qp_down_, pnic, primary_.qp_prev);
+  // Every ACK source gets its own client-side sink QP on the shared cq_up_.
+  auto ack_sink = [&](rdma::Nic& src_nic, rdma::QueuePair* src) {
+    rdma::QueuePair* sink = verbs_.create_qp(cnic, nullptr, cq_up_, 8);
+    rdma::connect_rc(src_nic, src, cnic, sink);
+    for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
+      cnic.post_recv(sink, RecvWqe{});
+    }
+  };
   // primary out QPs: [0..K-1] to the backups, [K] = ack QP to the client.
   for (size_t b = 0; b < K; ++b) {
-    rdma::QueuePair* up =
-        client_.nic().create_qp(nullptr, cq_up_, 8);  // per-backup ack sink
-    qp_acks_.push_back(up);
-    primary_.server->nic().connect(primary_.qp_out[b],
-                                   backups_[b].server->nic().id(),
-                                   backups_[b].qp_prev->qpn);
-    backups_[b].server->nic().connect(backups_[b].qp_prev,
-                                      primary_.server->nic().id(),
-                                      primary_.qp_out[b]->qpn);
-    backups_[b].server->nic().connect(backups_[b].qp_ack, client_.nic().id(),
-                                      up->qpn);
-    client_.nic().connect(up, backups_[b].server->nic().id(),
-                          backups_[b].qp_ack->qpn);
-    for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
-      client_.nic().post_recv(up, RecvWqe{});
-    }
+    Backup& bb = backups_[b];
+    rdma::connect_rc(pnic, primary_.qp_out[b], bb.server->nic(), bb.qp_prev);
+    ack_sink(bb.server->nic(), bb.qp_ack);
   }
-  rdma::QueuePair* pup = client_.nic().create_qp(nullptr, cq_up_, 8);
-  qp_acks_.push_back(pup);
-  primary_.server->nic().connect(primary_.qp_out[K], client_.nic().id(),
-                                 pup->qpn);
-  client_.nic().connect(pup, primary_.server->nic().id(),
-                        primary_.qp_out[K]->qpn);
-  for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
-    client_.nic().post_recv(pup, RecvWqe{});
-  }
-  qp_up_ = pup;
+  ack_sink(pnic, primary_.qp_out[K]);
 }
 
 void FanoutGroup::rearm_primary_slot(uint64_t seq) {
@@ -480,33 +407,20 @@ const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
 
 // ------------------------------------------------------------ client path --
 
-void FanoutGroup::submit(const OpSpec& op, Done done, CasDone cas_done) {
+void FanoutGroup::submit(QueuedOp& q) {
   assert(!stopped_ && "primitive on a stopped group");
-  if (inflight_ >= cfg_.max_inflight) {
-    QueuedOp q;
-    q.spec = op;
-    q.done = std::move(done);
-    q.cas_done = std::move(cas_done);
-    waiting_.push_back(std::move(q));
-    return;
-  }
-  ++inflight_;
-  issue(op, std::move(done), std::move(cas_done));
+  if (window_.admit(q)) issue(q);
 }
 
-void FanoutGroup::issue(const OpSpec& op, Done done, CasDone cas_done) {
-  const uint64_t seq = next_seq_++;
+void FanoutGroup::issue(QueuedOp& q) {
+  const OpSpec& op = q.spec;
+  const uint64_t seq = window_.claim(q);
   const size_t K = backups_.size();
 
-  PendingSlot& pend = pending_[seq & pending_mask_];
-  assert(!pend.live && "pending slot table wrapped past the live window");
-  pend.seq = static_cast<uint32_t>(seq);
-  pend.kind = op.kind;
-  pend.live = true;
-  pend.acks_needed = static_cast<uint32_t>(1 + K);  // primary + backups
-  if (op.kind == 2 && op.exec.test(0)) ++pend.acks_needed;
-  pend.done = std::move(done);
-  pend.cas_done = std::move(cas_done);
+  AckCount& acks = window_.slot(seq);
+  acks.kind = op.kind;
+  acks.acks_needed = static_cast<uint32_t>(1 + K);  // primary + backups
+  if (op.kind == 2 && op.exec.test(0)) ++acks.acks_needed;
   if (op.kind == 2) {
     // Clear the result slot so skipped replicas (and a skipped primary)
     // report 0 rather than a stale value from a previous ring lap.
@@ -554,45 +468,37 @@ void FanoutGroup::issue(const OpSpec& op, Done done, CasDone cas_done) {
       qp_down_, rdma::make_send(slot, 0, static_cast<uint32_t>(blob.size())));
 }
 
-void FanoutGroup::complete(PendingSlot& slot) {
-  slot.live = false;
-  --inflight_;
-  if (slot.kind == 2) {
-    CasDone handler = std::move(slot.cas_done);
+void FanoutGroup::count_ack(uint32_t seq) {
+  Window::Slot* slot = window_.lookup(seq);
+  if (slot == nullptr || --slot->acks_needed > 0) return;
+  window_.retire(*slot);
+  if (slot->kind == 2) {
+    CasDone handler = std::move(slot->cas_done);
     const size_t K = backups_.size();
     const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
-    client_.mem().read(
-        ack_base_ + (slot.seq % (cfg_.max_inflight * 2)) * ack_stride,
-        cas_scratch_.data(), ack_stride);
+    client_.mem().read(ack_base_ + (seq % (cfg_.max_inflight * 2)) * ack_stride,
+                       cas_scratch_.data(), ack_stride);
     handler(CasResult(cas_scratch_.data(), 1 + K));
   } else {
-    Done handler = std::move(slot.done);
+    Done handler = std::move(slot->done);
     if (handler) handler();
   }
-  if (!waiting_.empty() && inflight_ < cfg_.max_inflight) {
-    QueuedOp next = std::move(waiting_.front());
-    waiting_.pop_front();
-    ++inflight_;
-    issue(next.spec, std::move(next.done), std::move(next.cas_done));
-  }
+  if (stopped_) return;  // the callback tore the group down
+  window_.replay([this](QueuedOp& next) { issue(next); });
 }
 
 void FanoutGroup::on_ack_cqe() {
   rdma::Cqe cqe;
-  auto count_event = [this](uint32_t seq) {
-    PendingSlot& slot = pending_[seq & pending_mask_];
-    if (!slot.live || slot.seq != seq) return;
-    if (--slot.acks_needed > 0) return;
-    complete(slot);
-  };
   while (cq_up_->poll(&cqe)) {
     if (!cqe.has_imm) continue;
     client_.nic().post_recv(client_.nic().qp(cqe.qpn), RecvWqe{});
-    count_event(cqe.imm);
+    count_ack(cqe.imm);
+    if (stopped_) return;
   }
   while (cq_down_->poll(&cqe)) {
     if ((cqe.wr_id & kCasTag) != 0) {
-      count_event(static_cast<uint32_t>(cqe.wr_id & 0xffffffffu));
+      count_ack(static_cast<uint32_t>(cqe.wr_id & 0xffffffffu));
+      if (stopped_) return;
     }
   }
   cq_up_->arm_notify();
@@ -604,37 +510,37 @@ void FanoutGroup::on_ack_cqe() {
 void FanoutGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
                          Done done) {
   assert(offset + len <= cfg_.region_size);
-  OpSpec op;
-  op.kind = 0;
-  op.offset = offset;
-  op.len = len;
-  op.flush = flush;
-  submit(op, std::move(done), CasDone{});
+  QueuedOp q{.done = std::move(done)};
+  q.spec.kind = 0;
+  q.spec.offset = offset;
+  q.spec.len = len;
+  q.spec.flush = flush;
+  submit(q);
 }
 
 void FanoutGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                           uint32_t len, bool flush, Done done) {
   assert(src_offset + len <= cfg_.region_size);
   assert(dst_offset + len <= cfg_.region_size);
-  OpSpec op;
-  op.kind = 1;
-  op.offset = src_offset;
-  op.dst = dst_offset;
-  op.len = len;
-  op.flush = flush;
-  submit(op, std::move(done), CasDone{});
+  QueuedOp q{.done = std::move(done)};
+  q.spec.kind = 1;
+  q.spec.offset = src_offset;
+  q.spec.dst = dst_offset;
+  q.spec.len = len;
+  q.spec.flush = flush;
+  submit(q);
 }
 
 void FanoutGroup::gcas(uint64_t offset, uint64_t expected, uint64_t desired,
                        ExecMap exec_map, CasDone done) {
   assert(offset + 8 <= cfg_.region_size);
-  OpSpec op;
-  op.kind = 2;
-  op.offset = offset;
-  op.expected = expected;
-  op.desired = desired;
-  op.exec = exec_map;
-  submit(op, Done{}, std::move(done));
+  QueuedOp q{.cas_done = std::move(done)};
+  q.spec.kind = 2;
+  q.spec.offset = offset;
+  q.spec.expected = expected;
+  q.spec.desired = desired;
+  q.spec.exec = exec_map;
+  submit(q);
 }
 
 void FanoutGroup::gflush(Done done) { gwrite(0, 0, true, std::move(done)); }

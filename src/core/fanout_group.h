@@ -25,9 +25,10 @@
 #include <vector>
 
 #include "core/group.h"
+#include "core/op_window.h"
 #include "core/server.h"
 #include "rdma/nic.h"
-#include "sim/ring.h"
+#include "rdma/verbs_owner.h"
 
 namespace hyperloop::core {
 
@@ -121,25 +122,22 @@ class FanoutGroup final : public ReplicationGroup {
     ExecMap exec;
   };
 
-  /// One in-flight op, direct-mapped by seq & pending_mask_. Per-source
-  /// ack streams are FIFO and every source acks every op, so the live-seq
-  /// window stays narrow; the table is sized 4x the credit window and the
-  /// claim assert guards the invariant.
-  struct PendingSlot {
-    uint32_t seq = 0;
+  /// Fan-out's own per-slot state: an op completes once every source
+  /// (the primary, each backup, and the client's one-sided CAS against
+  /// the primary) has acked it.
+  struct AckCount {
     uint8_t kind = 0;
-    bool live = false;
     uint32_t acks_needed = 0;
-    Done done;
-    CasDone cas_done;
   };
 
-  /// An op parked while the credit window is full.
+  /// An op by value with its callbacks; the window parks it while no
+  /// credit is free.
   struct QueuedOp {
-    OpSpec spec;
-    Done done;
-    CasDone cas_done;
+    OpSpec spec{};
+    Done done{};
+    CasDone cas_done{};
   };
+  using Window = OpWindow<QueuedOp, AckCount>;
 
   void setup_primary();
   void setup_backup(size_t b);
@@ -160,9 +158,9 @@ class FanoutGroup final : public ReplicationGroup {
   const std::vector<uint8_t>& build_blob(uint64_t seq, const OpSpec& op);
   rdma::WqeDescriptor backup_ack_desc(size_t b, uint64_t seq,
                                       const OpSpec& op);
-  void submit(const OpSpec& op, Done done, CasDone cas_done);
-  void issue(const OpSpec& op, Done done, CasDone cas_done);
-  void complete(PendingSlot& slot);
+  void submit(QueuedOp& q);
+  void issue(QueuedOp& q);
+  void count_ack(uint32_t seq);
   void on_ack_cqe();
   rdma::WqeDescriptor nop_desc() const;
 
@@ -170,23 +168,20 @@ class FanoutGroup final : public ReplicationGroup {
   Primary primary_;
   std::vector<Backup> backups_;
   Config cfg_;
+  rdma::VerbsOwner verbs_;
 
   // Client side.
   rdma::QueuePair* qp_down_ = nullptr;   ///< to the primary
   rdma::CompletionQueue* cq_down_ = nullptr;
-  rdma::QueuePair* qp_up_ = nullptr;     ///< ACKs from backups land here
-  rdma::CompletionQueue* cq_up_ = nullptr;
-  std::vector<rdma::QueuePair*> qp_acks_;  ///< all client-side ack sinks
+  rdma::CompletionQueue* cq_up_ = nullptr;  ///< every source's ACKs land here
   rdma::Addr client_region_ = 0;
   rdma::Addr client_staging_ = 0;
   uint32_t client_staging_slot_ = 0;
   rdma::Addr ack_base_ = 0;
   rdma::MemoryRegion ack_mr_{};
-  uint64_t next_seq_ = 0;
-  uint32_t inflight_ = 0;
-  std::vector<PendingSlot> pending_;  ///< direct-mapped by seq & mask
-  uint32_t pending_mask_ = 0;
-  sim::Ring<QueuedOp> waiting_;  ///< ops parked for a credit
+  /// Each source's ack stream is FIFO, but the streams interleave, so the
+  /// table gets 4x the credit window of headroom.
+  Window window_;
   std::vector<uint8_t> blob_scratch_;  ///< reused by build_blob per issue()
   std::vector<uint8_t> zero_scratch_;  ///< reused ack-slot clear (gCAS)
   std::vector<uint64_t> cas_scratch_;  ///< gCAS result-map read buffer

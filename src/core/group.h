@@ -10,9 +10,12 @@
 //                                         returning the per-replica result map
 //   gFLUSH()                              durability barrier down the chain
 //
-// Two implementations share this interface: HyperLoopGroup (NIC-offloaded,
-// §4) and NaiveRdmaGroup (CPU-forwarded baseline, §6 "Naïve-RDMA"), so the
-// WAL / locking / storage layers above run unchanged on either.
+// Four backends implement this interface: HyperLoopGroup (NIC-offloaded
+// chain, §4), FanoutGroup (NIC-offloaded fan-out, §7), NaiveRdmaGroup
+// (CPU-forwarded baseline, §6 "Naïve-RDMA") and TcpReplicationGroup
+// (kernel-TCP baseline, §6.2); ShardedGroup puts several of them behind
+// the same interface. The WAL / locking / storage layers above run
+// unchanged on any of them.
 //
 // Callback-type policy (see DESIGN.md "Callback types"): every async
 // boundary in src/core takes a sim::SmallFn — never a copyable
@@ -189,9 +192,10 @@ class ReplicationGroup {
   /// Idempotent teardown. Pending completion callbacks are dropped
   /// without being invoked (each counted in aborted_ops()), queued
   /// credit-wait ops are discarded, and NIC resources (QPs, then their
-  /// CQs) are destroyed. After stop() the group only serves the local
-  /// load/store accessors below; issuing primitives is undefined.
-  /// Destructors call stop().
+  /// CQs) are destroyed. Calling stop() from inside a completion callback
+  /// is supported: no further callback of this group runs after it. After
+  /// stop() the group only serves the local load/store accessors below;
+  /// issuing primitives is undefined. Destructors call stop().
   virtual void stop() = 0;
 
   /// Number of in-flight or queued ops whose callbacks were dropped by

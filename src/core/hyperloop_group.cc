@@ -25,12 +25,6 @@ Wqe placeholder() {
   return w;
 }
 
-uint32_t next_pow2(uint32_t v) {
-  uint32_t n = 1;
-  while (n < v) n <<= 1;
-  return n;
-}
-
 }  // namespace
 
 void HyperLoopGroup::Config::validate() const {
@@ -58,33 +52,26 @@ HyperLoopGroup::HyperLoopGroup(Server& client, std::vector<Server*> replicas,
   cas_scratch_.resize(replicas_.size());
 
   for (size_t i = 0; i < replicas_.size(); ++i) setup_replica(i);
-  for (int p = 0; p < kNumPrims; ++p) setup_client_chain(static_cast<Prim>(p));
+  client_chain_.reserve(kNumPrims);
+  for (int p = 0; p < kNumPrims; ++p) {
+    client_chain_.emplace_back(cfg_.max_inflight);
+    setup_client_chain(static_cast<Prim>(p));
+  }
 
   // Wire the chain: client -> R0 -> ... -> R{G-1} -> client.
   for (int pi = 0; pi < kNumPrims; ++pi) {
     const auto p = static_cast<Prim>(pi);
     ClientChain& cc = client_chain_[pi];
-    ReplicaChain& first = replicas_.front().chain[pi];
-    ReplicaChain& last = replicas_.back().chain[pi];
-
-    client_.nic(cfg_.nic_index).connect(cc.qp_down, replicas_.front().server->nic(cfg_.nic_index).id(),
-                          first.qp_prev->qpn);
-    replicas_.front().server->nic(cfg_.nic_index).connect(
-        first.qp_prev, client_.nic(cfg_.nic_index).id(), cc.qp_down->qpn);
-
+    rdma::connect_rc(nic(client_), cc.qp_down, nic(*replicas_.front().server),
+                     replicas_.front().chain[pi].qp_prev);
     for (size_t i = 0; i + 1 < replicas_.size(); ++i) {
-      ReplicaChain& a = replicas_[i].chain[pi];
-      ReplicaChain& b = replicas_[i + 1].chain[pi];
-      replicas_[i].server->nic(cfg_.nic_index).connect(
-          a.qp_next, replicas_[i + 1].server->nic(cfg_.nic_index).id(), b.qp_prev->qpn);
-      replicas_[i + 1].server->nic(cfg_.nic_index).connect(
-          b.qp_prev, replicas_[i].server->nic(cfg_.nic_index).id(), a.qp_next->qpn);
+      rdma::connect_rc(nic(*replicas_[i].server), replicas_[i].chain[pi].qp_next,
+                       nic(*replicas_[i + 1].server),
+                       replicas_[i + 1].chain[pi].qp_prev);
     }
-
-    replicas_.back().server->nic(cfg_.nic_index).connect(last.qp_next, client_.nic(cfg_.nic_index).id(),
-                                           cc.qp_up->qpn);
-    client_.nic(cfg_.nic_index).connect(cc.qp_up, replicas_.back().server->nic(cfg_.nic_index).id(),
-                          last.qp_next->qpn);
+    rdma::connect_rc(nic(*replicas_.back().server),
+                     replicas_.back().chain[pi].qp_next, nic(client_),
+                     cc.qp_up);
 
     // Pre-arm the full ring on every replica.
     for (uint64_t s = 0; s < cfg_.ring_slots; ++s) {
@@ -96,7 +83,7 @@ HyperLoopGroup::HyperLoopGroup(Server& client, std::vector<Server*> replicas,
 
     // Client ack RECV ring + event-driven ack handling.
     for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
-      client_.nic(cfg_.nic_index).post_recv(cc.qp_up, RecvWqe{});
+      nic(client_).post_recv(cc.qp_up, RecvWqe{});
     }
     cc.cq_up->set_notify([this, p] { on_ack_cqe(p); });
     cc.cq_up->arm_notify();
@@ -110,65 +97,19 @@ HyperLoopGroup::~HyperLoopGroup() { stop(); }
 void HyperLoopGroup::stop() {
   if (stopped_) return;
   stopped_ = true;
-
-  // Drop (never invoke) all pending completion callbacks and queued ops.
-  for (ClientChain& cc : client_chain_) {
-    for (PendingSlot& slot : cc.pending) {
-      if (!slot.live) continue;
-      slot.live = false;
-      slot.done.reset();
-      slot.cas_done.reset();
-      ++aborted_ops_;
-    }
-    aborted_ops_ += cc.waiting.size();
-    cc.waiting.clear();
-    cc.inflight = 0;
-  }
-
-  // Release NIC resources. QPs must go before their CQs: destroying a QP
-  // unlinks it from any CQ waiter list, and destroy_cq asserts that no
-  // WAIT-parked QP still references the CQ.
-  for (Replica& r : replicas_) {
-    rdma::Nic& nic = r.server->nic(cfg_.nic_index);
-    for (ReplicaChain& c : r.chain) {
-      if (c.qp_prev) nic.destroy_qp(c.qp_prev);
-      if (c.qp_next) nic.destroy_qp(c.qp_next);
-      if (c.qp_loop) nic.destroy_qp(c.qp_loop);
-      if (c.cq_recv_prev) nic.destroy_cq(c.cq_recv_prev);
-      if (c.cq_send_next) nic.destroy_cq(c.cq_send_next);
-      if (c.cq_loop) nic.destroy_cq(c.cq_loop);
-      c.qp_prev = c.qp_next = c.qp_loop = nullptr;
-      c.cq_recv_prev = c.cq_send_next = c.cq_loop = nullptr;
-    }
-  }
-  for (ClientChain& cc : client_chain_) {
-    rdma::Nic& nic = client_.nic(cfg_.nic_index);
-    if (cc.qp_down) nic.destroy_qp(cc.qp_down);
-    if (cc.qp_up) nic.destroy_qp(cc.qp_up);
-    if (cc.cq_down) nic.destroy_cq(cc.cq_down);
-    if (cc.cq_up) nic.destroy_cq(cc.cq_up);
-    cc.qp_down = cc.qp_up = nullptr;
-    cc.cq_down = cc.cq_up = nullptr;
-  }
+  for (ClientChain& cc : client_chain_) aborted_ops_ += cc.window.abort_all();
+  verbs_.release();
 }
 
 // ------------------------------------------------------------------ setup --
 
-uint32_t HyperLoopGroup::hop_payload(Prim p, size_t hop) const {
-  const uint32_t per_hop = desc_count(p) * kDescBytes;
-  uint32_t bytes =
-      per_hop * static_cast<uint32_t>(replicas_.size() - hop);
-  if (p == Prim::kCas) bytes += result_bytes();
-  return bytes;
-}
-
 void HyperLoopGroup::setup_replica(size_t idx) {
   Replica& r = replicas_[idx];
-  rdma::Nic& nic = r.server->nic(cfg_.nic_index);
+  rdma::Nic& rnic = nic(*r.server);
   rdma::HostMemory& mem = r.server->mem();
 
   r.data_base = r.server->nvm().alloc(cfg_.region_size, 4096);
-  r.data_mr = nic.register_mr(
+  r.data_mr = rnic.register_mr(
       r.data_base, cfg_.region_size,
       rdma::kRemoteRead | rdma::kRemoteWrite | rdma::kRemoteAtomic |
           rdma::kLocalWrite);
@@ -193,15 +134,16 @@ void HyperLoopGroup::setup_replica(size_t idx) {
 
     // Chain CQs are consumed only through WAIT counters, never polled:
     // counting-only (capacity 0) so wrapped rings don't hoard dead CQEs.
-    c.cq_recv_prev = nic.create_cq(0);
-    c.cq_send_next = nic.create_cq(0);
-    c.qp_prev = nic.create_qp(nullptr, c.cq_recv_prev, cfg_.ring_slots);
-    c.qp_next = nic.create_qp(c.cq_send_next, nullptr,
-                              cfg_.ring_slots * next_wqes(p));
+    c.cq_recv_prev = verbs_.create_cq(rnic, 0);
+    c.cq_send_next = verbs_.create_cq(rnic, 0);
+    c.qp_prev =
+        verbs_.create_qp(rnic, nullptr, c.cq_recv_prev, cfg_.ring_slots);
+    c.qp_next = verbs_.create_qp(rnic, c.cq_send_next, nullptr,
+                                 cfg_.ring_slots * next_wqes(p));
     if (loop_wqes(p) > 0) {
-      c.cq_loop = nic.create_cq(0);
-      c.qp_loop =
-          nic.create_loopback_qp(c.cq_loop, cfg_.ring_slots * loop_wqes(p));
+      c.cq_loop = verbs_.create_cq(rnic, 0);
+      c.qp_loop = verbs_.create_loopback_qp(rnic, c.cq_loop,
+                                            cfg_.ring_slots * loop_wqes(p));
     }
   }
 
@@ -209,7 +151,7 @@ void HyperLoopGroup::setup_replica(size_t idx) {
   // result rings, and the WQE rings inside the QPs): the registration that
   // makes work queues writable by inbound scatters — with bounds checks.
   const size_t arena_end = mem.used();
-  const rdma::MemoryRegion ring_mr = nic.register_mr(
+  const rdma::MemoryRegion ring_mr = rnic.register_mr(
       arena_start, arena_end - arena_start, rdma::kLocalWrite);
   for (int pi = 0; pi < kNumPrims; ++pi) {
     r.chain[pi].ring_lkey = ring_mr.lkey;
@@ -217,8 +159,8 @@ void HyperLoopGroup::setup_replica(size_t idx) {
 }
 
 void HyperLoopGroup::setup_client_chain(Prim p) {
-  ClientChain& cc = client_chain_[static_cast<int>(p)];
-  rdma::Nic& nic = client_.nic(cfg_.nic_index);
+  ClientChain& cc = chain(p);
+  rdma::Nic& cnic = nic(client_);
   rdma::HostMemory& mem = client_.mem();
 
   cc.staging_slot =
@@ -227,29 +169,24 @@ void HyperLoopGroup::setup_client_chain(Prim p) {
       mem.alloc(uint64_t{cc.staging_slot} * cfg_.max_inflight * 2, 64);
   cc.ack_base =
       mem.alloc(uint64_t{result_bytes()} * cfg_.max_inflight * 2, 64);
-  cc.ack_mr = nic.register_mr(cc.ack_base,
-                              uint64_t{result_bytes()} * cfg_.max_inflight * 2,
-                              rdma::kRemoteWrite | rdma::kLocalWrite);
+  cc.ack_mr = cnic.register_mr(
+      cc.ack_base, uint64_t{result_bytes()} * cfg_.max_inflight * 2,
+      rdma::kRemoteWrite | rdma::kLocalWrite);
 
-  cc.cq_down = nic.create_cq(0);  // counting-only: send side never polls
-  cc.cq_up = nic.create_cq();     // polled by on_ack_cqe for the imm seq
+  // The send side never polls: its CQ is counting-only.
+  rdma::CompletionQueue* cq_down = verbs_.create_cq(cnic, 0);
+  cc.cq_up = verbs_.create_cq(cnic);  // polled by on_ack_cqe for the imm seq
   // Room for a full credit window of staged submissions: extent WRITEs +
   // FLUSH + metadata SEND per op (kWriteV stages the most per op).
-  cc.qp_down = nic.create_qp(cc.cq_down, nullptr,
-                             cfg_.max_inflight * (desc_count(p) + 2) + 16);
-  cc.qp_up = nic.create_qp(nullptr, cc.cq_up, 16);
-
-  // In-flight ops are direct-mapped by seq: acks arrive in chain FIFO
-  // order, so at most max_inflight consecutive seqs are live at once and
-  // a power-of-two table twice that wide is collision-free by mask.
-  cc.pending.resize(next_pow2(cfg_.max_inflight * 2));
-  cc.pending_mask = static_cast<uint32_t>(cc.pending.size() - 1);
+  cc.qp_down = verbs_.create_qp(cnic, cq_down, nullptr,
+                                cfg_.max_inflight * (desc_count(p) + 2) + 16);
+  cc.qp_up = verbs_.create_qp(cnic, nullptr, cc.cq_up, 16);
 }
 
 void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
   Replica& r = replicas_[replica];
   ReplicaChain& c = r.chain[static_cast<int>(p)];
-  rdma::Nic& nic = r.server->nic(cfg_.nic_index);
+  rdma::Nic& rnic = nic(*r.server);
   const uint32_t S = cfg_.ring_slots;
 
   RecvWqe recv;
@@ -261,55 +198,31 @@ void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
   // Each queue's slot WQEs are staged together and doorbelled once — the
   // off-path refill driver batches its posts like a real ibv_post_send
   // with a linked WR list.
-  switch (p) {
-    case Prim::kWrite: {
-      nic.stage_send(c.qp_next, rdma::make_wait(c.cq_recv_prev->id(), seq + 1));
-      nic.stage_send(c.qp_next, placeholder(), /*deferred=*/true);  // WRITE
-      nic.stage_send(c.qp_next, placeholder(), true);               // FLUSH
-      nic.stage_send(c.qp_next, placeholder(), true);               // SEND
-      nic.ring_doorbell(c.qp_next);
-      desc_sge(c.qp_next, 4 * seq + 1);
-      desc_sge(c.qp_next, 4 * seq + 2);
-      desc_sge(c.qp_next, 4 * seq + 3);
-      break;
+  const auto wait_recv = rdma::make_wait(c.cq_recv_prev->id(), seq + 1);
+  if (is_write(p)) {
+    // qp_next: [WAIT][WRITE x width][FLUSH][SEND].
+    const uint64_t n = next_wqes(p);
+    rnic.stage_send(c.qp_next, wait_recv);
+    for (uint64_t j = 1; j < n; ++j) {
+      rnic.stage_send(c.qp_next, placeholder(), /*deferred=*/true);
     }
-    case Prim::kWriteV: {
-      const uint64_t n = next_wqes(Prim::kWriteV);
-      nic.stage_send(c.qp_next, rdma::make_wait(c.cq_recv_prev->id(), seq + 1));
-      for (uint32_t j = 0; j < kMaxExtents; ++j) {
-        nic.stage_send(c.qp_next, placeholder(), true);  // WRITE / NOP
-      }
-      nic.stage_send(c.qp_next, placeholder(), true);  // FLUSH
-      nic.stage_send(c.qp_next, placeholder(), true);  // SEND
-      nic.ring_doorbell(c.qp_next);
-      for (uint32_t j = 1; j < n; ++j) desc_sge(c.qp_next, n * seq + j);
-      break;
+    rnic.ring_doorbell(c.qp_next);
+    for (uint64_t j = 1; j < n; ++j) desc_sge(c.qp_next, n * seq + j);
+  } else {
+    // qp_loop: [WAIT][COPY][FLUSH] or [WAIT][CAS]; qp_next then waits for
+    // the loop's completions: [WAIT][SEND].
+    const uint64_t n = loop_wqes(p);
+    rnic.stage_send(c.qp_loop, wait_recv);
+    for (uint64_t j = 1; j < n; ++j) {
+      rnic.stage_send(c.qp_loop, placeholder(), /*deferred=*/true);
     }
-    case Prim::kMemcpy: {
-      nic.stage_send(c.qp_loop, rdma::make_wait(c.cq_recv_prev->id(), seq + 1));
-      nic.stage_send(c.qp_loop, placeholder(), true);  // COPY
-      nic.stage_send(c.qp_loop, placeholder(), true);  // FLUSH
-      nic.ring_doorbell(c.qp_loop);
-      nic.stage_send(c.qp_next,
-                     rdma::make_wait(c.cq_loop->id(), 2 * (seq + 1)));
-      nic.stage_send(c.qp_next, placeholder(), true);  // SEND
-      nic.ring_doorbell(c.qp_next);
-      desc_sge(c.qp_loop, 3 * seq + 1);
-      desc_sge(c.qp_loop, 3 * seq + 2);
-      desc_sge(c.qp_next, 2 * seq + 1);
-      break;
-    }
-    case Prim::kCas: {
-      nic.stage_send(c.qp_loop, rdma::make_wait(c.cq_recv_prev->id(), seq + 1));
-      nic.stage_send(c.qp_loop, placeholder(), true);  // CAS
-      nic.ring_doorbell(c.qp_loop);
-      nic.stage_send(c.qp_next, rdma::make_wait(c.cq_loop->id(), seq + 1));
-      nic.stage_send(c.qp_next, placeholder(), true);  // SEND
-      nic.ring_doorbell(c.qp_next);
-      desc_sge(c.qp_loop, 2 * seq + 1);
-      desc_sge(c.qp_next, 2 * seq + 1);
-      break;
-    }
+    rnic.ring_doorbell(c.qp_loop);
+    rnic.stage_send(c.qp_next, rdma::make_wait(c.cq_loop->id(),
+                                               loop_completions(p) * (seq + 1)));
+    rnic.stage_send(c.qp_next, placeholder(), /*deferred=*/true);  // SEND
+    rnic.ring_doorbell(c.qp_next);
+    for (uint64_t j = 1; j < n; ++j) desc_sge(c.qp_loop, n * seq + j);
+    desc_sge(c.qp_next, 2 * seq + 1);
   }
 
   if (c.staging_len > 0) {
@@ -321,7 +234,7 @@ void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
                             result_bytes(), c.ring_lkey});
   }
   recv.wr_id = seq;
-  nic.post_recv(c.qp_prev, std::move(recv));
+  rnic.post_recv(c.qp_prev, std::move(recv));
 }
 
 void HyperLoopGroup::start_refill(size_t replica) {
@@ -394,412 +307,210 @@ rdma::WqeDescriptor HyperLoopGroup::nop_desc() const {
   return d;
 }
 
-HyperLoopGroup::PendingSlot& HyperLoopGroup::claim_slot(ClientChain& cc,
-                                                        uint64_t seq) {
-  PendingSlot& slot = cc.pending[seq & cc.pending_mask];
-  assert(!slot.live && "pending slot table wrapped past the live window");
-  slot.seq = static_cast<uint32_t>(seq);
-  slot.live = true;
-  return slot;
-}
-
-uint32_t HyperLoopGroup::stage_gwrite_blob(uint64_t seq, uint64_t offset,
-                                           uint32_t len, bool flush) {
+uint32_t HyperLoopGroup::stage_blob(Prim p, uint64_t seq, const Op& op) {
   const size_t G = replicas_.size();
-  const ClientChain& cc = client_chain_[static_cast<int>(Prim::kWrite)];
-  const Addr slot =
-      cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
+  const ClientChain& cc = chain(p);
+  const uint32_t nd = desc_count(p);
 
-  WqeDescriptor trio[3];
+  WqeDescriptor d[kMaxExtents + 2];
   for (size_t i = 0; i < G; ++i) {
-    const ReplicaChain& c = replicas_[i].chain[static_cast<int>(Prim::kWrite)];
-    if (i + 1 < G) {
-      const Replica& next = replicas_[i + 1];
-      trio[0] = rdma::make_write(replicas_[i].data_base + offset, 0,
-                                 next.data_base + offset, next.data_mr.rkey,
-                                 len)
-                    .d;
-      // The forward hop re-sends bytes the upstream WRITE just landed in
-      // this replica's region — borrow them instead of re-gathering. The
-      // trio's own FLUSH/SEND behind it acks the WRITE cumulatively.
-      trio[0].flags |= rdma::kWqeFlagZeroCopy | rdma::kWqeFlagAckElide;
-      trio[1] = flush ? rdma::make_flush(next.data_base, next.data_mr.rkey).d
-                      : nop_desc();
-      trio[2] = rdma::make_send(
-                    c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
-                    c.ring_lkey, c.staging_len)
-                    .d;
-    } else {
-      // Last hop: ACK the client with a 0-byte WRITE_WITH_IMM.
-      trio[0] = rdma::make_write_imm(
-                    0, 0,
-                    cc.ack_base +
-                        (seq % (cfg_.max_inflight * 2)) * result_bytes(),
-                    cc.ack_mr.rkey, 0, static_cast<uint32_t>(seq))
-                    .d;
-      trio[1] = nop_desc();
-      trio[2] = nop_desc();
-    }
-    trio[0].active = trio[1].active = trio[2].active = 1;
-    client_.mem().write(slot + i * 3 * kDescBytes, trio, 3 * kDescBytes);
-  }
-  return static_cast<uint32_t>(3 * kDescBytes * G);
-}
-
-uint32_t HyperLoopGroup::stage_gwritev_blob(uint64_t seq,
-                                            const ExtentVec& extents,
-                                            bool flush) {
-  const size_t G = replicas_.size();
-  const ClientChain& cc = client_chain_[static_cast<int>(Prim::kWriteV)];
-  const Addr slot =
-      cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
-  const uint32_t nd = desc_count(Prim::kWriteV);  // kMaxExtents + FLUSH + SEND
-
-  WqeDescriptor descs[kMaxExtents + 2];
-  for (size_t i = 0; i < G; ++i) {
-    const ReplicaChain& c =
-        replicas_[i].chain[static_cast<int>(Prim::kWriteV)];
-    if (i + 1 < G) {
-      const Replica& next = replicas_[i + 1];
-      for (uint32_t j = 0; j < kMaxExtents; ++j) {
-        if (j < extents.size()) {
-          const Extent& e = extents[j];
-          descs[j] = rdma::make_write(replicas_[i].data_base + e.offset, 0,
-                                      next.data_base + e.offset,
-                                      next.data_mr.rkey, e.len)
-                         .d;
-          descs[j].flags |= rdma::kWqeFlagZeroCopy | rdma::kWqeFlagAckElide;
-        } else {
-          descs[j] = nop_desc();
+    const Replica& r = replicas_[i];
+    const ReplicaChain& c = r.chain[static_cast<int>(p)];
+    const bool tail = i + 1 == G;
+    // What this hop sends last: the rest of the blob to the next hop, or
+    // at the tail a 0-byte WRITE_WITH_IMM that acks the client.
+    const WqeDescriptor out =
+        tail ? rdma::make_write_imm(0, 0, ack_addr(cc, seq), cc.ack_mr.rkey,
+                                    0, static_cast<uint32_t>(seq))
+                   .d
+             : rdma::make_send(
+                   c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
+                   c.ring_lkey, c.staging_len)
+                   .d;
+    switch (p) {
+      case Prim::kWrite:
+      case Prim::kWriteV: {
+        if (tail) {
+          // The tail only acks: its data and durability came with the
+          // previous hop's WRITEs and FLUSH (the client's, when G == 1).
+          d[0] = out;
+          for (uint32_t j = 1; j < nd; ++j) d[j] = nop_desc();
+          break;
         }
-      }
-      descs[kMaxExtents] =
-          flush ? rdma::make_flush(next.data_base, next.data_mr.rkey).d
-                : nop_desc();
-      descs[kMaxExtents + 1] =
-          rdma::make_send(
-              c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
-              c.ring_lkey, c.staging_len)
-              .d;
-    } else {
-      // Last hop only ACKs: its own data and durability were handled by
-      // the previous hop's WRITEs + FLUSH (or the client's, when G == 1).
-      descs[0] = rdma::make_write_imm(
-                     0, 0,
-                     cc.ack_base +
-                         (seq % (cfg_.max_inflight * 2)) * result_bytes(),
-                     cc.ack_mr.rkey, 0, static_cast<uint32_t>(seq))
+        const Replica& next = replicas_[i + 1];
+        const uint32_t width = write_width(p);
+        for (uint32_t j = 0; j < width; ++j) {
+          if (j >= op.extents.size()) {
+            d[j] = nop_desc();
+            continue;
+          }
+          const Extent& e = op.extents[j];
+          d[j] = rdma::make_write(r.data_base + e.offset, 0,
+                                  next.data_base + e.offset, next.data_mr.rkey,
+                                  e.len)
                      .d;
-      for (uint32_t j = 1; j < nd; ++j) descs[j] = nop_desc();
+          // The forward hop re-sends bytes the upstream WRITE just landed
+          // in this replica's region: borrow them instead of re-gathering.
+          // The slot's own FLUSH/SEND behind it acks the WRITE cumulatively.
+          d[j].flags |= rdma::kWqeFlagZeroCopy | rdma::kWqeFlagAckElide;
+        }
+        d[width] = op.flush
+                       ? rdma::make_flush(next.data_base, next.data_mr.rkey).d
+                       : nop_desc();
+        d[width + 1] = out;
+        break;
+      }
+      case Prim::kMemcpy:
+        d[0] = rdma::make_local_copy(r.data_base + op.offset,
+                                     r.data_base + op.dst, op.len)
+                   .d;
+        d[1] = op.flush ? rdma::make_flush(0, 0).d : nop_desc();
+        d[2] = out;
+        break;
+      case Prim::kCas: {
+        const Addr result_slot =
+            c.result_base + (seq % cfg_.ring_slots) * result_bytes();
+        // Execute map cleared: the pre-posted CAS becomes a NOP (§4.2).
+        d[0] = op.exec.test(i)
+                   ? rdma::make_cas(result_slot + 8 * i, c.ring_lkey,
+                                    r.data_base + op.offset, r.data_mr.rkey,
+                                    op.expected, op.desired)
+                         .d
+                   : nop_desc();
+        d[1] = out;
+        d[1].aux_addr = result_slot;
+        d[1].aux_length = result_bytes();
+        break;
+      }
     }
-    for (uint32_t j = 0; j < nd; ++j) descs[j].active = 1;
-    client_.mem().write(slot + i * nd * kDescBytes, descs, nd * kDescBytes);
+    for (uint32_t j = 0; j < nd; ++j) d[j].active = 1;
+    client_.mem().write(staging_addr(cc, seq) + i * nd * kDescBytes, d,
+                        nd * kDescBytes);
   }
   return static_cast<uint32_t>(nd * kDescBytes * G);
 }
 
-uint32_t HyperLoopGroup::stage_gmemcpy_blob(uint64_t seq, uint64_t src,
-                                            uint64_t dst, uint32_t len,
-                                            bool flush) {
-  const size_t G = replicas_.size();
-  const ClientChain& cc = client_chain_[static_cast<int>(Prim::kMemcpy)];
-  const Addr slot =
-      cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
-
-  WqeDescriptor trio[3];
-  for (size_t i = 0; i < G; ++i) {
-    const ReplicaChain& c =
-        replicas_[i].chain[static_cast<int>(Prim::kMemcpy)];
-    trio[0] = rdma::make_local_copy(replicas_[i].data_base + src,
-                                    replicas_[i].data_base + dst, len)
-                  .d;
-    trio[1] = flush ? rdma::make_flush(0, 0).d : nop_desc();
-    if (i + 1 < G) {
-      trio[2] = rdma::make_send(
-                    c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
-                    c.ring_lkey, c.staging_len)
-                    .d;
-    } else {
-      trio[2] = rdma::make_write_imm(
-                    0, 0,
-                    cc.ack_base +
-                        (seq % (cfg_.max_inflight * 2)) * result_bytes(),
-                    cc.ack_mr.rkey, 0, static_cast<uint32_t>(seq))
-                    .d;
-    }
-    trio[0].active = trio[1].active = trio[2].active = 1;
-    client_.mem().write(slot + i * 3 * kDescBytes, trio, 3 * kDescBytes);
-  }
-  return static_cast<uint32_t>(3 * kDescBytes * G);
-}
-
-uint32_t HyperLoopGroup::stage_gcas_blob(uint64_t seq, uint64_t offset,
-                                         uint64_t expected, uint64_t desired,
-                                         ExecMap exec) {
-  const size_t G = replicas_.size();
-  const ClientChain& cc = client_chain_[static_cast<int>(Prim::kCas)];
-  const Addr slot =
-      cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
-
-  WqeDescriptor duo[2];
-  for (size_t i = 0; i < G; ++i) {
-    const ReplicaChain& c = replicas_[i].chain[static_cast<int>(Prim::kCas)];
-    const Addr result_slot =
-        c.result_base + (seq % cfg_.ring_slots) * result_bytes();
-    if (exec.test(i)) {
-      duo[0] = rdma::make_cas(result_slot + 8 * i, c.ring_lkey,
-                              replicas_[i].data_base + offset,
-                              replicas_[i].data_mr.rkey, expected, desired)
-                   .d;
-    } else {
-      // Execute map cleared: the pre-posted CAS becomes a NOP (§4.2).
-      duo[0] = nop_desc();
-    }
-    if (i + 1 < G) {
-      duo[1] = rdma::make_send(
-                   c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
-                   c.ring_lkey, c.staging_len)
-                   .d;
-    } else {
-      duo[1] = rdma::make_write_imm(
-                   0, 0,
-                   cc.ack_base +
-                       (seq % (cfg_.max_inflight * 2)) * result_bytes(),
-                   cc.ack_mr.rkey, 0, static_cast<uint32_t>(seq))
-                   .d;
-    }
-    duo[1].aux_addr = result_slot;
-    duo[1].aux_length = result_bytes();
-    duo[0].active = duo[1].active = 1;
-    client_.mem().write(slot + i * 2 * kDescBytes, duo, 2 * kDescBytes);
-  }
-  return static_cast<uint32_t>(2 * kDescBytes * G);
-}
-
-void HyperLoopGroup::stage_meta_send(Prim p, uint64_t seq, uint32_t blob_len) {
-  ClientChain& cc = client_chain_[static_cast<int>(p)];
-  const Addr slot =
-      cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
-  Wqe send = rdma::make_send(slot, 0, blob_len);
-  if (p == Prim::kCas) {
-    // Seed the result map with zeros so excluded replicas report 0.
-    send.d.aux_addr = client_zeros_;
-    send.d.aux_length = result_bytes();
-  }
-  client_.nic(cfg_.nic_index).stage_send(cc.qp_down, send);
-}
-
-void HyperLoopGroup::dispatch(Prim p, QueuedOp&& op) {
-  switch (p) {
-    case Prim::kWrite:
-      issue_gwrite(op.a, op.len, op.flush, std::move(op.done));
-      break;
-    case Prim::kWriteV:
-      issue_gwritev(op.extents, op.flush, std::move(op.done));
-      break;
-    case Prim::kMemcpy:
-      issue_gmemcpy(op.a, op.b, op.len, op.flush, std::move(op.done));
-      break;
-    case Prim::kCas:
-      issue_gcas(op.a, op.expected, op.desired, op.exec,
-                 std::move(op.cas_done));
-      break;
-  }
-}
-
 void HyperLoopGroup::on_ack_cqe(Prim p) {
-  ClientChain& cc = client_chain_[static_cast<int>(p)];
+  ClientChain& cc = chain(p);
   rdma::Cqe cqe;
   while (cc.cq_up->poll(&cqe)) {
     if (!cqe.has_imm) continue;
-    PendingSlot& slot = cc.pending[cqe.imm & cc.pending_mask];
-    if (!slot.live || slot.seq != cqe.imm) continue;
-    slot.live = false;
-    cc.completed_seq = cqe.imm;
-    client_.nic(cfg_.nic_index).post_recv(cc.qp_up, RecvWqe{});
-    --cc.inflight;
+    OpWindow<Op>::Slot* slot = cc.window.lookup(cqe.imm);
+    if (slot == nullptr) continue;
+    cc.window.retire(*slot);
+    nic(client_).post_recv(cc.qp_up, RecvWqe{});
     if (p == Prim::kCas) {
-      CasDone handler = std::move(slot.cas_done);
-      client_.mem().read(
-          cc.ack_base + (cqe.imm % (cfg_.max_inflight * 2)) * result_bytes(),
-          cas_scratch_.data(), result_bytes());
+      CasDone handler = std::move(slot->cas_done);
+      client_.mem().read(ack_addr(cc, cqe.imm), cas_scratch_.data(),
+                         result_bytes());
       handler(CasResult(cas_scratch_.data(), replicas_.size()));
     } else {
-      Done handler = std::move(slot.done);
+      Done handler = std::move(slot->done);
       if (handler) handler();
     }
-    if (!cc.waiting.empty() && cc.inflight < cfg_.max_inflight) {
-      QueuedOp next = std::move(cc.waiting.front());
-      cc.waiting.pop_front();
-      ++cc.inflight;
-      dispatch(p, std::move(next));
-    }
+    if (stopped_) return;  // the callback tore the group down
+    cc.window.replay([this, p](Op& next) { issue(p, next); });
   }
   cc.cq_up->arm_notify();
 }
 
 // ------------------------------------------------------------- primitives --
 
-void HyperLoopGroup::issue_gwrite(uint64_t offset, uint32_t len, bool flush,
-                                  Done done) {
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kWrite)];
-  const uint64_t seq = cc.next_seq++;
-  ++counters_.gwrites;
-  counters_.bytes_replicated += uint64_t{len} * replicas_.size();
-
-  // Data WRITE (+FLUSH) to the first replica, then the metadata SEND that
-  // drives the offloaded chain — staged together under one doorbell.
-  const Replica& r0 = replicas_.front();
-  Wqe data = rdma::make_write(client_region_ + offset, 0,
-                              r0.data_base + offset, r0.data_mr.rkey, len);
-  // The metadata SEND behind it (same QP, one doorbell) acknowledges the
-  // WRITE cumulatively — no standalone ACK packet needed.
-  data.d.flags |= rdma::kWqeFlagAckElide;
-  client_.nic(cfg_.nic_index).stage_send(cc.qp_down, data);
-  if (flush) {
-    client_.nic(cfg_.nic_index).stage_send(
-        cc.qp_down, rdma::make_flush(r0.data_base, r0.data_mr.rkey));
-  }
-  const uint32_t blob_len = stage_gwrite_blob(seq, offset, len, flush);
-  claim_slot(cc, seq).done = std::move(done);
-  stage_meta_send(Prim::kWrite, seq, blob_len);
-  client_.nic(cfg_.nic_index).ring_doorbell(cc.qp_down);
+void HyperLoopGroup::submit(Prim p, Op& op) {
+  assert(!stopped_ && "primitive on a stopped group");
+  if (chain(p).window.admit(op)) issue(p, op);
 }
 
-void HyperLoopGroup::issue_gwritev(const ExtentVec& extents, bool flush,
-                                   Done done) {
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kWriteV)];
-  const uint64_t seq = cc.next_seq++;
-  ++counters_.gwritevs;
-  counters_.gwritev_extents += extents.size();
-  for (const Extent& e : extents) {
-    counters_.bytes_replicated += uint64_t{e.len} * replicas_.size();
+void HyperLoopGroup::issue(Prim p, Op& op) {
+  ClientChain& cc = chain(p);
+  rdma::Nic& cnic = nic(client_);
+  const uint64_t seq = cc.window.claim(op);
+  switch (p) {
+    case Prim::kWrite:
+    case Prim::kWriteV: {
+      if (p == Prim::kWrite) {
+        ++counters_.gwrites;
+      } else {
+        ++counters_.gwritevs;
+        counters_.gwritev_extents += op.extents.size();
+      }
+      // Every extent's data WRITE to the first replica and one trailing
+      // FLUSH; the metadata SEND behind them (same QP, same doorbell)
+      // acknowledges the WRITEs cumulatively, so they elide their ACKs.
+      const Replica& r0 = replicas_.front();
+      for (const Extent& e : op.extents) {
+        counters_.bytes_replicated += uint64_t{e.len} * replicas_.size();
+        Wqe data = rdma::make_write(client_region_ + e.offset, 0,
+                                    r0.data_base + e.offset, r0.data_mr.rkey,
+                                    e.len);
+        data.d.flags |= rdma::kWqeFlagAckElide;
+        cnic.stage_send(cc.qp_down, data);
+      }
+      if (op.flush) {
+        cnic.stage_send(cc.qp_down,
+                        rdma::make_flush(r0.data_base, r0.data_mr.rkey));
+      }
+      break;
+    }
+    case Prim::kMemcpy:
+      ++counters_.gmemcpys;
+      // The client's copy of the region must stay in sync: perform the
+      // same copy locally (the client is the head of the chain).
+      client_.mem().copy(client_region_ + op.dst, client_region_ + op.offset,
+                         op.len);
+      client_.nvm().persist(client_region_ + op.dst, op.len);
+      break;
+    case Prim::kCas:
+      ++counters_.gcas;
+      break;
   }
-
-  // All extent WRITEs to the first replica, one trailing FLUSH, and the
-  // metadata SEND — one doorbell, one chain traversal.
-  const Replica& r0 = replicas_.front();
-  for (const Extent& e : extents) {
-    Wqe data =
-        rdma::make_write(client_region_ + e.offset, 0, r0.data_base + e.offset,
-                         r0.data_mr.rkey, e.len);
-    data.d.flags |= rdma::kWqeFlagAckElide;  // metadata SEND acks the batch
-    client_.nic(cfg_.nic_index).stage_send(cc.qp_down, data);
+  // The metadata SEND that drives the offloaded chain, under the same
+  // doorbell as the data WRITEs: one chain traversal per op.
+  Wqe send = rdma::make_send(staging_addr(cc, seq), 0, stage_blob(p, seq, op));
+  if (p == Prim::kCas) {
+    // Seed the result map with zeros so excluded replicas report 0.
+    send.d.aux_addr = client_zeros_;
+    send.d.aux_length = result_bytes();
   }
-  if (flush) {
-    client_.nic(cfg_.nic_index).stage_send(
-        cc.qp_down, rdma::make_flush(r0.data_base, r0.data_mr.rkey));
-  }
-  const uint32_t blob_len = stage_gwritev_blob(seq, extents, flush);
-  claim_slot(cc, seq).done = std::move(done);
-  stage_meta_send(Prim::kWriteV, seq, blob_len);
-  client_.nic(cfg_.nic_index).ring_doorbell(cc.qp_down);
-}
-
-void HyperLoopGroup::issue_gmemcpy(uint64_t src, uint64_t dst, uint32_t len,
-                                   bool flush, Done done) {
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kMemcpy)];
-  const uint64_t seq = cc.next_seq++;
-  ++counters_.gmemcpys;
-  // The client's copy of the region must stay in sync: perform the same
-  // copy locally (the client is the head of the chain).
-  client_.mem().copy(client_region_ + dst, client_region_ + src, len);
-  client_.nvm().persist(client_region_ + dst, len);
-  const uint32_t blob_len = stage_gmemcpy_blob(seq, src, dst, len, flush);
-  claim_slot(cc, seq).done = std::move(done);
-  stage_meta_send(Prim::kMemcpy, seq, blob_len);
-  client_.nic(cfg_.nic_index).ring_doorbell(cc.qp_down);
-}
-
-void HyperLoopGroup::issue_gcas(uint64_t offset, uint64_t expected,
-                                uint64_t desired, ExecMap exec, CasDone done) {
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kCas)];
-  const uint64_t seq = cc.next_seq++;
-  ++counters_.gcas;
-  const uint32_t blob_len =
-      stage_gcas_blob(seq, offset, expected, desired, exec);
-  claim_slot(cc, seq).cas_done = std::move(done);
-  stage_meta_send(Prim::kCas, seq, blob_len);
-  client_.nic(cfg_.nic_index).ring_doorbell(cc.qp_down);
+  cnic.stage_send(cc.qp_down, send);
+  cnic.ring_doorbell(cc.qp_down);
 }
 
 void HyperLoopGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
                             Done done) {
-  assert(!stopped_ && "gwrite on a stopped group");
   assert(offset + len <= cfg_.region_size);
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kWrite)];
-  if (cc.inflight >= cfg_.max_inflight) {
-    QueuedOp op;
-    op.a = offset;
-    op.len = len;
-    op.flush = flush;
-    op.done = std::move(done);
-    cc.waiting.push_back(std::move(op));
-    return;
-  }
-  ++cc.inflight;
-  issue_gwrite(offset, len, flush, std::move(done));
+  Op op{.extents = {Extent{offset, len}}, .flush = flush,
+        .done = std::move(done)};
+  submit(Prim::kWrite, op);
 }
 
 void HyperLoopGroup::gwritev(const ExtentVec& extents, bool flush,
                              Done done) {
-  assert(!stopped_ && "gwritev on a stopped group");
   assert(!extents.empty());
 #ifndef NDEBUG
   for (const Extent& e : extents) {
     assert(e.offset + e.len <= cfg_.region_size);
   }
 #endif
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kWriteV)];
-  if (cc.inflight >= cfg_.max_inflight) {
-    QueuedOp op;
-    op.extents = extents;
-    op.flush = flush;
-    op.done = std::move(done);
-    cc.waiting.push_back(std::move(op));
-    return;
-  }
-  ++cc.inflight;
-  issue_gwritev(extents, flush, std::move(done));
+  Op op{.extents = extents, .flush = flush, .done = std::move(done)};
+  submit(Prim::kWriteV, op);
 }
 
 void HyperLoopGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                              uint32_t len, bool flush, Done done) {
-  assert(!stopped_ && "gmemcpy on a stopped group");
   assert(src_offset + len <= cfg_.region_size);
   assert(dst_offset + len <= cfg_.region_size);
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kMemcpy)];
-  if (cc.inflight >= cfg_.max_inflight) {
-    QueuedOp op;
-    op.a = src_offset;
-    op.b = dst_offset;
-    op.len = len;
-    op.flush = flush;
-    op.done = std::move(done);
-    cc.waiting.push_back(std::move(op));
-    return;
-  }
-  ++cc.inflight;
-  issue_gmemcpy(src_offset, dst_offset, len, flush, std::move(done));
+  Op op{.offset = src_offset, .dst = dst_offset, .len = len, .flush = flush,
+        .done = std::move(done)};
+  submit(Prim::kMemcpy, op);
 }
 
 void HyperLoopGroup::gcas(uint64_t offset, uint64_t expected,
                           uint64_t desired, ExecMap exec_map, CasDone done) {
-  assert(!stopped_ && "gcas on a stopped group");
   assert(offset + 8 <= cfg_.region_size);
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kCas)];
-  if (cc.inflight >= cfg_.max_inflight) {
-    QueuedOp op;
-    op.a = offset;
-    op.expected = expected;
-    op.desired = desired;
-    op.exec = exec_map;
-    op.cas_done = std::move(done);
-    cc.waiting.push_back(std::move(op));
-    return;
-  }
-  ++cc.inflight;
-  issue_gcas(offset, expected, desired, exec_map, std::move(done));
+  Op op{.offset = offset, .expected = expected, .desired = desired,
+        .exec = exec_map, .cas_done = std::move(done)};
+  submit(Prim::kCas, op);
 }
 
 void HyperLoopGroup::gflush(Done done) {
@@ -833,7 +544,7 @@ rdma::Addr HyperLoopGroup::replica_region_base(size_t i) const {
 
 uint64_t HyperLoopGroup::total_rnr_stalls() const {
   uint64_t n = 0;
-  for (const Replica& r : replicas_) n += r.server->nic(cfg_.nic_index).counters().rnr_stalls;
+  for (const Replica& r : replicas_) n += nic(*r.server).counters().rnr_stalls;
   return n;
 }
 

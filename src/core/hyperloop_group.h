@@ -22,11 +22,10 @@
 // Replica CPUs only run a periodic refill task (off the critical path)
 // that re-arms consumed ring slots, exactly as §5.1 describes.
 //
-// Client-side bookkeeping is allocation-free in steady state: in-flight
-// ops live in a direct-mapped slot table (acks arrive in chain FIFO
-// order, so live seqs form a window <= max_inflight wide and seq & mask
-// never collides), ops waiting for a credit queue in a sim::Ring, and
-// patch descriptors are staged straight into the metadata ring slot.
+// Each primitive has its own credit window (core::OpWindow, see
+// DESIGN.md "Op window and verbs teardown"), and patch descriptors are
+// staged straight into the metadata ring slot, so the client side is
+// allocation-free in steady state.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +33,10 @@
 #include <vector>
 
 #include "core/group.h"
+#include "core/op_window.h"
 #include "core/server.h"
 #include "rdma/nic.h"
-#include "sim/ring.h"
+#include "rdma/verbs_owner.h"
 
 namespace hyperloop::core {
 
@@ -127,10 +127,11 @@ class HyperLoopGroup final : public ReplicationGroup {
   }
 
  private:
-  /// kWriteV gets its own ring rather than widening kWrite's: a chain
-  /// slot must have a fixed WQE count (WAIT thresholds and refill
-  /// accounting depend on it), so a shared ring would bill every single
-  /// gWRITE the NOP cost of kMaxExtents unused WRITE slots.
+  /// gWRITE is gWRITEV at a width of one WRITE slot. kWriteV still gets
+  /// its own ring rather than sharing kWrite's: a chain slot must have a
+  /// fixed WQE count (WAIT thresholds and refill accounting depend on
+  /// it), so a shared ring would bill every single gWRITE the NOP cost of
+  /// kMaxExtents unused WRITE slots.
   enum class Prim : uint8_t { kWrite = 0, kMemcpy = 1, kCas = 2, kWriteV = 3 };
   static constexpr int kNumPrims = 4;
   static constexpr uint32_t kDescBytes = sizeof(rdma::WqeDescriptor);
@@ -162,73 +163,75 @@ class HyperLoopGroup final : public ReplicationGroup {
     sim::ProcessId refill_pid = 0;
   };
 
-  /// One in-flight op. `done` serves write-like primitives, `cas_done`
-  /// serves gCAS; storing both flat (instead of one nested closure) keeps
-  /// continuation state inside the Done/CasDone inline caps.
-  struct PendingSlot {
-    uint32_t seq = 0;
-    bool live = false;
-    Done done;
-    CasDone cas_done;
-  };
-
-  /// An op parked while the credit window is full. Parameters are stored
-  /// by value and re-dispatched by primitive when a credit frees up.
-  struct QueuedOp {
-    uint64_t a = 0;  ///< offset / src_offset
-    uint64_t b = 0;  ///< dst_offset (gMEMCPY)
+  /// One primitive's parameters by value: the submit path builds it, and
+  /// the window parks it while no credit is free.
+  struct Op {
+    ExtentVec extents{};  ///< gWRITE (one extent) and gWRITEV
+    uint64_t offset = 0;  ///< gMEMCPY source, gCAS target
+    uint64_t dst = 0;     ///< gMEMCPY destination
+    uint32_t len = 0;     ///< gMEMCPY length
+    bool flush = false;
     uint64_t expected = 0;
     uint64_t desired = 0;
-    uint32_t len = 0;
-    bool flush = false;
-    ExecMap exec;
-    ExtentVec extents;  ///< gWRITEV batch parked for a credit
-    Done done;
-    CasDone cas_done;
+    ExecMap exec{};
+    Done done{};
+    CasDone cas_done{};
   };
 
   // Client-side per-primitive state.
   struct ClientChain {
+    explicit ClientChain(uint32_t max_inflight)
+        : window(max_inflight, 2 * max_inflight) {}
+
     rdma::QueuePair* qp_down = nullptr;
     rdma::QueuePair* qp_up = nullptr;
-    rdma::CompletionQueue* cq_down = nullptr;
     rdma::CompletionQueue* cq_up = nullptr;
     rdma::Addr staging_base = 0;  ///< metadata build ring
     uint32_t staging_slot = 0;
     rdma::Addr ack_base = 0;  ///< ack / result-map landing ring
     rdma::MemoryRegion ack_mr{};
-    uint64_t next_seq = 0;
-    uint64_t completed_seq = 0;
-    uint32_t inflight = 0;
-    std::vector<PendingSlot> pending;  ///< direct-mapped by seq & mask
-    uint32_t pending_mask = 0;
-    sim::Ring<QueuedOp> waiting;  ///< ops parked for a credit
+    OpWindow<Op> window;
   };
 
-  // WQEs per ring slot on each queue, by primitive. A kWriteV slot is
-  // [WAIT][WRITE x kMaxExtents][FLUSH][SEND]; unused WRITEs patch to NOP.
+  static bool is_write(Prim p) {
+    return p == Prim::kWrite || p == Prim::kWriteV;
+  }
+  /// WRITE slots per chain slot of a write-like primitive.
+  static uint32_t write_width(Prim p) {
+    return p == Prim::kWriteV ? kMaxExtents : 1;
+  }
+
+  // WQEs per ring slot on each queue, by primitive. A write-like slot is
+  // [WAIT][WRITE x width][FLUSH][SEND]; unused WRITEs patch to NOP.
   static uint32_t next_wqes(Prim p) {
-    if (p == Prim::kWriteV) return kMaxExtents + 3;
-    return p == Prim::kWrite ? 4 : 2;
+    return is_write(p) ? write_width(p) + 3 : 2;
   }
   static uint32_t loop_wqes(Prim p) {
     return p == Prim::kMemcpy ? 3 : (p == Prim::kCas ? 2 : 0);
   }
   /// Completions accumulating on cq_send_next per finished slot.
   static uint32_t next_completions(Prim p) {
-    if (p == Prim::kWriteV) return kMaxExtents + 2;
-    return p == Prim::kWrite ? 3 : 1;
+    return is_write(p) ? write_width(p) + 2 : 1;
   }
   /// Completions accumulating on cq_loop per finished slot.
   static uint32_t loop_completions(Prim p) { return p == Prim::kMemcpy ? 2 : 1; }
 
-  uint32_t desc_count(Prim p) const {
-    if (p == Prim::kWriteV) return kMaxExtents + 2;
+  static uint32_t desc_count(Prim p) {
+    if (is_write(p)) return write_width(p) + 2;
     return p == Prim::kCas ? 2 : 3;
   }
-  uint32_t hop_payload(Prim p, size_t hop) const;  // bytes hop receives
   uint32_t result_bytes() const {
     return static_cast<uint32_t>(8 * replicas_.size());
+  }
+  ClientChain& chain(Prim p) { return client_chain_[static_cast<int>(p)]; }
+  rdma::Nic& nic(Server& s) const { return s.nic(cfg_.nic_index); }
+  /// Op `seq`'s slot in the client's metadata staging ring.
+  rdma::Addr staging_addr(const ClientChain& cc, uint64_t seq) const {
+    return cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
+  }
+  /// Op `seq`'s slot in the client's ack / result-map landing ring.
+  rdma::Addr ack_addr(const ClientChain& cc, uint64_t seq) const {
+    return cc.ack_base + (seq % (cfg_.max_inflight * 2)) * result_bytes();
   }
 
   void setup_replica(size_t i);
@@ -238,29 +241,14 @@ class HyperLoopGroup final : public ReplicationGroup {
   uint32_t do_refill(size_t replica);
   void start_refill(size_t replica);
 
-  PendingSlot& claim_slot(ClientChain& cc, uint64_t seq);
+  /// Stages the patch descriptors for op `seq` directly into the client's
+  /// metadata staging ring slot (no temporary buffer); returns blob bytes.
+  uint32_t stage_blob(Prim p, uint64_t seq, const Op& op);
 
-  // Stage the patch descriptors for op `seq` directly into the client's
-  // metadata staging ring slot (no temporary buffer); returns blob bytes.
-  uint32_t stage_gwrite_blob(uint64_t seq, uint64_t offset, uint32_t len,
-                             bool flush);
-  uint32_t stage_gwritev_blob(uint64_t seq, const ExtentVec& extents,
-                              bool flush);
-  uint32_t stage_gmemcpy_blob(uint64_t seq, uint64_t src, uint64_t dst,
-                              uint32_t len, bool flush);
-  uint32_t stage_gcas_blob(uint64_t seq, uint64_t offset, uint64_t expected,
-                           uint64_t desired, ExecMap exec);
-
-  void issue_gwrite(uint64_t offset, uint32_t len, bool flush, Done done);
-  void issue_gwritev(const ExtentVec& extents, bool flush, Done done);
-  void issue_gmemcpy(uint64_t src, uint64_t dst, uint32_t len, bool flush,
-                     Done done);
-  void issue_gcas(uint64_t offset, uint64_t expected, uint64_t desired,
-                  ExecMap exec, CasDone done);
-  void dispatch(Prim p, QueuedOp&& op);
-  /// Stages the metadata SEND on qp_down without ringing the doorbell —
-  /// each issue_* path stages all its WQEs and doorbells once.
-  void stage_meta_send(Prim p, uint64_t seq, uint32_t blob_len);
+  /// The one submit path: takes a credit and issues, or parks `op`.
+  void submit(Prim p, Op& op);
+  /// Stages everything `op` needs on qp_down and doorbells once.
+  void issue(Prim p, Op& op);
   void on_ack_cqe(Prim p);
 
   rdma::WqeDescriptor nop_desc() const;
@@ -268,7 +256,8 @@ class HyperLoopGroup final : public ReplicationGroup {
   Server& client_;
   std::vector<Replica> replicas_;
   Config cfg_;
-  ClientChain client_chain_[kNumPrims];
+  rdma::VerbsOwner verbs_;
+  std::vector<ClientChain> client_chain_;  ///< indexed by Prim
   rdma::Addr client_region_ = 0;
   rdma::Addr client_zeros_ = 0;  ///< gCAS initial (zero) result map source
   std::vector<uint64_t> cas_scratch_;  ///< gCAS result-map read buffer

@@ -10,19 +10,11 @@ using rdma::RecvWqe;
 using rdma::Sge;
 using rdma::Wqe;
 
-namespace {
-
-uint32_t next_pow2(uint32_t v) {
-  uint32_t n = 1;
-  while (n < v) n <<= 1;
-  return n;
-}
-
-}  // namespace
-
 NaiveRdmaGroup::NaiveRdmaGroup(Server& client, std::vector<Server*> replicas,
                                Config cfg)
-    : client_(client), cfg_(cfg) {
+    : client_(client),
+      cfg_(cfg),
+      window_(cfg.max_inflight, 2 * cfg.max_inflight) {
   assert(!replicas.empty() && replicas.size() <= kMaxGroup);
   assert(cfg_.max_inflight * 2 <= cfg_.recv_slots);
   replicas_.resize(replicas.size());
@@ -41,26 +33,17 @@ NaiveRdmaGroup::NaiveRdmaGroup(Server& client, std::vector<Server*> replicas,
       rdma::kLocalWrite);
   client_ack_lkey_ = ack_mr.lkey;
 
-  cq_down_ = client_.nic().create_cq();
-  cq_up_ = client_.nic().create_cq();
-  qp_down_ =
-      client_.nic().create_qp(cq_down_, nullptr, cfg_.max_inflight * 4 + 16);
-  qp_up_ = client_.nic().create_qp(nullptr, cq_up_, 16);
-
-  pending_.resize(next_pow2(cfg_.max_inflight * 2));
-  pending_mask_ = static_cast<uint32_t>(pending_.size() - 1);
+  rdma::CompletionQueue* cq_down = verbs_.create_cq(client_.nic());
+  cq_up_ = verbs_.create_cq(client_.nic());
+  qp_down_ = verbs_.create_qp(client_.nic(), cq_down, nullptr,
+                              cfg_.max_inflight * 4 + 16);
+  qp_up_ = verbs_.create_qp(client_.nic(), nullptr, cq_up_, 16);
 
   for (size_t i = 0; i < replicas_.size(); ++i) setup_replica(i);
   wire_chain();
 
   // Client ACK receive ring.
-  for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
-    RecvWqe r;
-    r.wr_id = s;
-    r.sges.push_back(Sge{client_ack_ring_ + uint64_t{s} * sizeof(Cmd),
-                         sizeof(Cmd), client_ack_lkey_});
-    client_.nic().post_recv(qp_up_, std::move(r));
-  }
+  for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) post_ack_recv(s);
   cq_up_->set_notify([this] { on_client_ack(); });
   cq_up_->arm_notify();
 }
@@ -70,36 +53,8 @@ NaiveRdmaGroup::~NaiveRdmaGroup() { stop(); }
 void NaiveRdmaGroup::stop() {
   if (stopped_) return;
   stopped_ = true;
-
-  // Drop (never invoke) pending completion callbacks and queued commands.
-  for (PendingSlot& slot : pending_) {
-    if (!slot.live) continue;
-    slot.live = false;
-    slot.done.reset();
-    slot.cas_done.reset();
-    ++aborted_ops_;
-  }
-  aborted_ops_ += waiting_.size();
-  waiting_.clear();
-  inflight_ = 0;
-
-  // Release NIC resources; QPs before the CQs they reference.
-  for (Replica& r : replicas_) {
-    rdma::Nic& nic = r.server->nic();
-    if (r.qp_prev) nic.destroy_qp(r.qp_prev);
-    if (r.qp_next) nic.destroy_qp(r.qp_next);
-    if (r.cq_recv) nic.destroy_cq(r.cq_recv);
-    if (r.cq_send) nic.destroy_cq(r.cq_send);
-    r.qp_prev = r.qp_next = nullptr;
-    r.cq_recv = r.cq_send = nullptr;
-  }
-  rdma::Nic& nic = client_.nic();
-  if (qp_down_) nic.destroy_qp(qp_down_);
-  if (qp_up_) nic.destroy_qp(qp_up_);
-  if (cq_down_) nic.destroy_cq(cq_down_);
-  if (cq_up_) nic.destroy_cq(cq_up_);
-  qp_down_ = qp_up_ = nullptr;
-  cq_down_ = cq_up_ = nullptr;
+  aborted_ops_ += window_.abort_all();
+  verbs_.release();
 }
 
 void NaiveRdmaGroup::setup_replica(size_t i) {
@@ -118,10 +73,10 @@ void NaiveRdmaGroup::setup_replica(size_t i) {
       r.cmd_ring, sizeof(Cmd) * cfg_.recv_slots, rdma::kLocalWrite);
   r.cmd_lkey = cmd_mr.lkey;
 
-  r.cq_recv = nic.create_cq();
-  r.cq_send = nic.create_cq();
-  r.qp_prev = nic.create_qp(nullptr, r.cq_recv, 16);
-  r.qp_next = nic.create_qp(r.cq_send, nullptr, cfg_.recv_slots * 2 + 16);
+  r.cq_recv = verbs_.create_cq(nic);
+  rdma::CompletionQueue* cq_send = verbs_.create_cq(nic);
+  r.qp_prev = verbs_.create_qp(nic, nullptr, r.cq_recv, 16);
+  r.qp_next = verbs_.create_qp(nic, cq_send, nullptr, cfg_.recv_slots * 2 + 16);
 
   for (uint32_t s = 0; s < cfg_.recv_slots; ++s) post_recv_slot(r, s);
 
@@ -163,22 +118,22 @@ void NaiveRdmaGroup::shared_poll_loop(size_t i) {
 }
 
 void NaiveRdmaGroup::wire_chain() {
-  client_.nic().connect(qp_down_, replicas_.front().server->nic().id(),
-                        replicas_.front().qp_prev->qpn);
-  replicas_.front().server->nic().connect(
-      replicas_.front().qp_prev, client_.nic().id(), qp_down_->qpn);
+  rdma::connect_rc(client_.nic(), qp_down_, replicas_.front().server->nic(),
+                   replicas_.front().qp_prev);
   for (size_t i = 0; i + 1 < replicas_.size(); ++i) {
-    replicas_[i].server->nic().connect(
-        replicas_[i].qp_next, replicas_[i + 1].server->nic().id(),
-        replicas_[i + 1].qp_prev->qpn);
-    replicas_[i + 1].server->nic().connect(
-        replicas_[i + 1].qp_prev, replicas_[i].server->nic().id(),
-        replicas_[i].qp_next->qpn);
+    rdma::connect_rc(replicas_[i].server->nic(), replicas_[i].qp_next,
+                     replicas_[i + 1].server->nic(), replicas_[i + 1].qp_prev);
   }
-  replicas_.back().server->nic().connect(
-      replicas_.back().qp_next, client_.nic().id(), qp_up_->qpn);
-  client_.nic().connect(qp_up_, replicas_.back().server->nic().id(),
-                        replicas_.back().qp_next->qpn);
+  rdma::connect_rc(replicas_.back().server->nic(), replicas_.back().qp_next,
+                   client_.nic(), qp_up_);
+}
+
+void NaiveRdmaGroup::post_ack_recv(uint64_t slot) {
+  RecvWqe r;
+  r.wr_id = slot;
+  r.sges.push_back(Sge{client_ack_ring_ + slot * sizeof(Cmd), sizeof(Cmd),
+                       client_ack_lkey_});
+  client_.nic().post_recv(qp_up_, std::move(r));
 }
 
 void NaiveRdmaGroup::post_recv_slot(Replica& r, uint64_t slot) {
@@ -326,56 +281,32 @@ void NaiveRdmaGroup::on_client_ack() {
     const uint64_t slot = cqe.wr_id;
     Cmd cmd = client_.mem().read_obj<Cmd>(client_ack_ring_ +
                                           slot * sizeof(Cmd));
-    PendingSlot& ps = pending_[cmd.seq & pending_mask_];
-    if (!ps.live || ps.seq != cmd.seq) continue;
-    ps.live = false;
+    OpWindow<QueuedCmd>::Slot* ps = window_.lookup(cmd.seq);
+    if (ps == nullptr) continue;
+    window_.retire(*ps);
+    post_ack_recv(slot);
 
-    RecvWqe r;
-    r.wr_id = slot;
-    r.sges.push_back(Sge{client_ack_ring_ + slot * sizeof(Cmd), sizeof(Cmd),
-                         client_ack_lkey_});
-    client_.nic().post_recv(qp_up_, std::move(r));
-
-    --inflight_;
     if (cmd.type == 2) {
-      CasDone handler = std::move(ps.cas_done);
+      CasDone handler = std::move(ps->cas_done);
       handler(CasResult(cmd.result, replicas_.size()));
     } else {
-      Done handler = std::move(ps.done);
+      Done handler = std::move(ps->done);
       if (handler) handler();
     }
-    if (!waiting_.empty() && inflight_ < cfg_.max_inflight) {
-      QueuedCmd next = std::move(waiting_.front());
-      waiting_.pop_front();
-      ++inflight_;
-      issue_cmd(next.cmd, std::move(next.done), std::move(next.cas_done));
-    }
+    if (stopped_) return;  // the callback tore the group down
+    window_.replay([this](QueuedCmd& next) { issue(next); });
   }
   cq_up_->arm_notify();
 }
 
-void NaiveRdmaGroup::submit_cmd(Cmd cmd, Done done, CasDone cas_done) {
+void NaiveRdmaGroup::submit(QueuedCmd& q) {
   assert(!stopped_ && "primitive on a stopped group");
-  if (inflight_ >= cfg_.max_inflight) {
-    QueuedCmd q;
-    q.cmd = cmd;
-    q.done = std::move(done);
-    q.cas_done = std::move(cas_done);
-    waiting_.push_back(std::move(q));
-    return;
-  }
-  ++inflight_;
-  issue_cmd(cmd, std::move(done), std::move(cas_done));
+  if (window_.admit(q)) issue(q);
 }
 
-void NaiveRdmaGroup::issue_cmd(Cmd cmd, Done done, CasDone cas_done) {
-  cmd.seq = next_seq_++;
-  PendingSlot& ps = pending_[cmd.seq & pending_mask_];
-  assert(!ps.live && "pending slot table wrapped past the live window");
-  ps.seq = cmd.seq;
-  ps.live = true;
-  ps.done = std::move(done);
-  ps.cas_done = std::move(cas_done);
+void NaiveRdmaGroup::issue(QueuedCmd& q) {
+  Cmd& cmd = q.cmd;
+  cmd.seq = static_cast<uint32_t>(window_.claim(q));
 
   if (cmd.type == 1) {
     // The client's copy of the region must stay in sync (head of chain).
@@ -405,37 +336,37 @@ void NaiveRdmaGroup::issue_cmd(Cmd cmd, Done done, CasDone cas_done) {
 void NaiveRdmaGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
                             Done done) {
   assert(offset + len <= cfg_.region_size);
-  Cmd cmd;
-  cmd.type = 0;
-  cmd.flush = flush ? 1 : 0;
-  cmd.offset = offset;
-  cmd.len = len;
-  submit_cmd(cmd, std::move(done), CasDone{});
+  QueuedCmd q{.done = std::move(done)};
+  q.cmd.type = 0;
+  q.cmd.flush = flush ? 1 : 0;
+  q.cmd.offset = offset;
+  q.cmd.len = len;
+  submit(q);
 }
 
 void NaiveRdmaGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                              uint32_t len, bool flush, Done done) {
   assert(src_offset + len <= cfg_.region_size);
   assert(dst_offset + len <= cfg_.region_size);
-  Cmd cmd;
-  cmd.type = 1;
-  cmd.flush = flush ? 1 : 0;
-  cmd.offset = src_offset;
-  cmd.dst = dst_offset;
-  cmd.len = len;
-  submit_cmd(cmd, std::move(done), CasDone{});
+  QueuedCmd q{.done = std::move(done)};
+  q.cmd.type = 1;
+  q.cmd.flush = flush ? 1 : 0;
+  q.cmd.offset = src_offset;
+  q.cmd.dst = dst_offset;
+  q.cmd.len = len;
+  submit(q);
 }
 
 void NaiveRdmaGroup::gcas(uint64_t offset, uint64_t expected,
                           uint64_t desired, ExecMap exec_map, CasDone done) {
   assert(offset + 8 <= cfg_.region_size);
-  Cmd cmd;
-  cmd.type = 2;
-  cmd.offset = offset;
-  cmd.expected = expected;
-  cmd.desired = desired;
-  cmd.exec_mask = exec_map.bits;
-  submit_cmd(cmd, Done{}, std::move(done));
+  QueuedCmd q{.cas_done = std::move(done)};
+  q.cmd.type = 2;
+  q.cmd.offset = offset;
+  q.cmd.expected = expected;
+  q.cmd.desired = desired;
+  q.cmd.exec_mask = exec_map.bits;
+  submit(q);
 }
 
 void NaiveRdmaGroup::gflush(Done done) {

@@ -28,9 +28,10 @@
 #include <vector>
 
 #include "core/group.h"
+#include "core/op_window.h"
 #include "core/server.h"
 #include "rdma/nic.h"
-#include "sim/ring.h"
+#include "rdma/verbs_owner.h"
 
 namespace hyperloop::core {
 
@@ -111,28 +112,17 @@ class NaiveRdmaGroup final : public ReplicationGroup {
     rdma::QueuePair* qp_prev = nullptr;
     rdma::QueuePair* qp_next = nullptr;
     rdma::CompletionQueue* cq_recv = nullptr;
-    rdma::CompletionQueue* cq_send = nullptr;
     rdma::Addr cmd_ring = 0;  ///< RECV landing buffers
     uint32_t cmd_lkey = 0;
     sim::ProcessId pid = 0;
   };
 
-  /// One in-flight command, direct-mapped by seq & pending_mask_ (ACKs
-  /// come back in chain FIFO order, so live seqs form a window no wider
-  /// than max_inflight and never collide in a 2x power-of-two table).
-  struct PendingSlot {
-    uint32_t seq = 0;
-    bool live = false;
-    Done done;
-    CasDone cas_done;
-  };
-
-  /// A command parked while the credit window is full; the seq field is
-  /// assigned when the command is finally issued.
+  /// A command by value with its callbacks; the window parks it while
+  /// no credit is free, and its seq is assigned when it is issued.
   struct QueuedCmd {
-    Cmd cmd;
-    Done done;
-    CasDone cas_done;
+    Cmd cmd{};
+    Done done{};
+    CasDone cas_done{};
   };
 
   void setup_replica(size_t i);
@@ -143,28 +133,26 @@ class NaiveRdmaGroup final : public ReplicationGroup {
   sim::Duration message_cost(const Cmd& cmd) const;
   void execute_and_forward(size_t i, Cmd cmd);
   void post_recv_slot(Replica& r, uint64_t slot);
+  void post_ack_recv(uint64_t slot);
   void on_client_ack();
-  void issue_cmd(Cmd cmd, Done done, CasDone cas_done);
-  void submit_cmd(Cmd cmd, Done done, CasDone cas_done);
+  void submit(QueuedCmd& q);
+  void issue(QueuedCmd& q);
 
   Server& client_;
   std::vector<Replica> replicas_;
   Config cfg_;
+  rdma::VerbsOwner verbs_;
 
   rdma::QueuePair* qp_down_ = nullptr;
   rdma::QueuePair* qp_up_ = nullptr;
-  rdma::CompletionQueue* cq_down_ = nullptr;
   rdma::CompletionQueue* cq_up_ = nullptr;
   rdma::Addr client_region_ = 0;
   rdma::Addr client_cmd_ring_ = 0;  ///< outbound command staging
   rdma::Addr client_ack_ring_ = 0;  ///< inbound ACK landing
   uint32_t client_ack_lkey_ = 0;
-
-  uint32_t next_seq_ = 0;
-  uint32_t inflight_ = 0;
-  std::vector<PendingSlot> pending_;  ///< direct-mapped by seq & mask
-  uint32_t pending_mask_ = 0;
-  sim::Ring<QueuedCmd> waiting_;  ///< commands parked for a credit
+  /// ACKs come back in chain FIFO order, so a table twice the credit
+  /// window never collides.
+  OpWindow<QueuedCmd> window_;
 };
 
 }  // namespace hyperloop::core

@@ -14,16 +14,14 @@ RemoteReader::RemoteReader(Server& client, std::vector<Target> targets,
   for (const Target& t : targets) {
     assert(t.server != nullptr);
     Endpoint ep;
-    ep.server = t.server;
     ep.remote_base = t.remote_base;
     ep.rkey = t.rkey;
-    ep.cq = nic.create_cq();
-    ep.qp = nic.create_qp(ep.cq, nullptr, opts_.slots * 2 + 8);
+    ep.cq = verbs_.create_cq(nic);
+    ep.qp = verbs_.create_qp(nic, ep.cq, nullptr, opts_.slots * 2 + 8);
     // Stub endpoint on the replica; one-sided READs only need routing.
     rdma::Nic& rnic = t.server->nic(opts_.nic_index);
-    ep.stub = rnic.create_qp(nullptr, nullptr, 8);
-    nic.connect(ep.qp, rnic.id(), ep.stub->qpn);
-    rnic.connect(ep.stub, nic.id(), ep.qp->qpn);
+    rdma::connect_rc(nic, ep.qp, rnic,
+                     verbs_.create_qp(rnic, nullptr, nullptr, 8));
     ep.bounce_base =
         client_.mem().alloc(uint64_t{opts_.slots} * opts_.slot_size, 64);
     for (uint32_t s = 0; s < opts_.slots; ++s) ep.free_slots.push_back(s);
@@ -225,7 +223,6 @@ void RemoteReader::stop() {
   stopped_ = true;
   stats_.aborted_reads += waiting_.size();
   while (!waiting_.empty()) waiting_.pop_front();
-  rdma::Nic& nic = client_nic();
   for (Endpoint& ep : endpoints_) {
     // Drop (never invoke) the callbacks of logical reads still in flight.
     while (!ep.pending.empty()) {
@@ -238,15 +235,10 @@ void RemoteReader::stop() {
         ++stats_.aborted_reads;
       }
     }
-    // QPs before their CQ (destroy_cq asserts no QP still references it).
-    // Response packets still in the network then drop at the NIC as
-    // invalid_qp_drops.
-    nic.destroy_qp(ep.qp);
-    ep.server->nic(opts_.nic_index).destroy_qp(ep.stub);
-    nic.destroy_cq(ep.cq);
-    ep.qp = ep.stub = nullptr;
-    ep.cq = nullptr;
   }
+  // Response packets still in the network drop at the NIC as
+  // invalid_qp_drops.
+  verbs_.release();
 }
 
 }  // namespace hyperloop::core

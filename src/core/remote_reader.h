@@ -29,6 +29,7 @@
 
 #include "core/server.h"
 #include "rdma/nic.h"
+#include "rdma/verbs_owner.h"
 #include "sim/ring.h"
 #include "sim/small_fn.h"
 #include "stats/histogram.h"
@@ -171,10 +172,8 @@ class RemoteReader {
   /// Idempotent teardown: parked and in-flight reads are dropped without
   /// their callbacks firing (counted in stats().aborted_reads); QPs and
   /// CQs are destroyed (in-flight response packets then drop at the NIC
-  /// as invalid_qp_drops). The destructor calls stop(). Must not be
-  /// called in the same instant reads were posted: destroy_qp requires an
-  /// idle send engine, so let the loop run past the staged WQEs'
-  /// execution (~wqe_cost each) first — responses may still be in flight.
+  /// as invalid_qp_drops). The destructor calls stop(). It may be called
+  /// from inside a read's callback.
   void stop();
 
   size_t num_replicas() const { return endpoints_.size(); }
@@ -208,11 +207,9 @@ class RemoteReader {
   /// One QP to one replica plus its bounce-slot ring. READ completions
   /// arrive in post order per QP, so in-flight fragments form a FIFO.
   struct Endpoint {
-    Server* server = nullptr;
     rdma::Addr remote_base = 0;
     uint32_t rkey = 0;
     rdma::QueuePair* qp = nullptr;
-    rdma::QueuePair* stub = nullptr;  ///< routing endpoint on the replica
     rdma::CompletionQueue* cq = nullptr;
     rdma::Addr bounce_base = 0;
     std::vector<uint32_t> free_slots;
@@ -251,6 +248,7 @@ class RemoteReader {
 
   Server& client_;
   Options opts_;
+  rdma::VerbsOwner verbs_;
   std::vector<Endpoint> endpoints_;
   uint64_t next_wr_id_ = 1;
   size_t rr_next_ = 0;             ///< round-robin cursor

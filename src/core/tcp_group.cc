@@ -7,20 +7,13 @@
 #include "core/buf_pool.h"
 
 namespace hyperloop::core {
-namespace {
-
-uint32_t next_pow2(uint32_t v) {
-  uint32_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
 
 TcpReplicationGroup::TcpReplicationGroup(Server& client,
                                          std::vector<Server*> replicas,
                                          Config cfg)
-    : client_(client), cfg_(cfg) {
+    : client_(client),
+      cfg_(cfg),
+      window_(cfg.max_inflight, 2 * cfg.max_inflight) {
   assert(!replicas.empty() && replicas.size() <= kMaxGroup);
   if (cfg_.port == 0) {
     static uint16_t next_port = 20000;
@@ -29,9 +22,6 @@ TcpReplicationGroup::TcpReplicationGroup(Server& client,
   replicas_.resize(replicas.size());
   client_region_ = client_.nvm().alloc(cfg_.region_size, 4096);
   client_pid_ = client_.sched().create_process(client_.name() + "-tcp-cli");
-
-  pending_.resize(next_pow2(cfg_.max_inflight * 2));
-  pending_mask_ = static_cast<uint32_t>(pending_.size()) - 1;
 
   client_.tcp().listen(cfg_.port, client_pid_,
                        [this](rdma::NicId, uint16_t, std::vector<uint8_t> m) {
@@ -56,16 +46,7 @@ TcpReplicationGroup::~TcpReplicationGroup() { stop(); }
 void TcpReplicationGroup::stop() {
   if (stopped_) return;
   stopped_ = true;
-  for (PendingSlot& slot : pending_) {
-    if (!slot.live) continue;
-    slot.live = false;
-    slot.done.reset();
-    slot.cas_done.reset();
-    ++aborted_ops_;
-  }
-  aborted_ops_ += waiting_.size();
-  waiting_.clear();
-  inflight_ = 0;
+  aborted_ops_ += window_.abort_all();
   // No QPs/CQs to tear down: this baseline rides the kernel TCP stack.
   // Listeners stay registered but every handler early-outs on stopped_.
 }
@@ -175,45 +156,28 @@ void TcpReplicationGroup::on_client_ack(std::vector<uint8_t> msg) {
   Header hdr;
   std::memcpy(&hdr, msg.data(), sizeof(hdr));
   BufPool::release(std::move(msg));
-  PendingSlot& slot = pending_[hdr.seq & pending_mask_];
-  if (!slot.live || slot.seq != hdr.seq) return;
-  slot.live = false;
-  --inflight_;
+  OpWindow<QueuedOp>::Slot* slot = window_.lookup(hdr.seq);
+  if (slot == nullptr) return;
+  window_.retire(*slot);
   if (hdr.type == 2) {
-    CasDone handler = std::move(slot.cas_done);
-    slot.done.reset();
+    CasDone handler = std::move(slot->cas_done);
     handler(CasResult(hdr.result, replicas_.size()));
   } else {
-    Done handler = std::move(slot.done);
-    slot.cas_done.reset();
+    Done handler = std::move(slot->done);
     if (handler) handler();
   }
-  if (!waiting_.empty() && inflight_ < cfg_.max_inflight) {
-    QueuedOp next = std::move(waiting_.front());
-    waiting_.pop_front();
-    ++inflight_;
-    issue(next.hdr, std::move(next.done), std::move(next.cas_done));
-  }
+  if (stopped_) return;  // the callback tore the group down
+  window_.replay([this](QueuedOp& next) { issue(next); });
 }
 
-void TcpReplicationGroup::submit(Header hdr, Done done, CasDone cas_done) {
-  if (inflight_ >= cfg_.max_inflight) {
-    waiting_.push_back(
-        QueuedOp{hdr, std::move(done), std::move(cas_done)});
-    return;
-  }
-  ++inflight_;
-  issue(hdr, std::move(done), std::move(cas_done));
+void TcpReplicationGroup::submit(QueuedOp& q) {
+  assert(!stopped_ && "primitive on a stopped group");
+  if (window_.admit(q)) issue(q);
 }
 
-void TcpReplicationGroup::issue(Header hdr, Done done, CasDone cas_done) {
-  hdr.seq = next_seq_++;
-  PendingSlot& slot = pending_[hdr.seq & pending_mask_];
-  assert(!slot.live && "pending window wider than the slot table");
-  slot.seq = hdr.seq;
-  slot.live = true;
-  slot.done = std::move(done);
-  slot.cas_done = std::move(cas_done);
+void TcpReplicationGroup::issue(QueuedOp& q) {
+  Header& hdr = q.hdr;
+  hdr.seq = static_cast<uint32_t>(window_.claim(q));
 
   // Frame the command directly into a pooled buffer: [Header][data].
   const uint64_t payload = hdr.type == 0 ? hdr.len : 0;
@@ -240,38 +204,38 @@ void TcpReplicationGroup::send_cmd(std::vector<uint8_t> msg) {
 void TcpReplicationGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
                                  Done done) {
   assert(offset + len <= cfg_.region_size);
-  Header hdr;
-  hdr.type = 0;
-  hdr.flush = flush ? 1 : 0;
-  hdr.offset = offset;
-  hdr.len = len;
-  submit(hdr, std::move(done), CasDone{});
+  QueuedOp q{.done = std::move(done)};
+  q.hdr.type = 0;
+  q.hdr.flush = flush ? 1 : 0;
+  q.hdr.offset = offset;
+  q.hdr.len = len;
+  submit(q);
 }
 
 void TcpReplicationGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                                   uint32_t len, bool flush, Done done) {
   assert(src_offset + len <= cfg_.region_size);
   assert(dst_offset + len <= cfg_.region_size);
-  Header hdr;
-  hdr.type = 1;
-  hdr.flush = flush ? 1 : 0;
-  hdr.offset = src_offset;
-  hdr.dst = dst_offset;
-  hdr.len = len;
-  submit(hdr, std::move(done), CasDone{});
+  QueuedOp q{.done = std::move(done)};
+  q.hdr.type = 1;
+  q.hdr.flush = flush ? 1 : 0;
+  q.hdr.offset = src_offset;
+  q.hdr.dst = dst_offset;
+  q.hdr.len = len;
+  submit(q);
 }
 
 void TcpReplicationGroup::gcas(uint64_t offset, uint64_t expected,
                                uint64_t desired, ExecMap exec_map,
                                CasDone done) {
   assert(offset + 8 <= cfg_.region_size);
-  Header hdr;
-  hdr.type = 2;
-  hdr.offset = offset;
-  hdr.expected = expected;
-  hdr.desired = desired;
-  hdr.exec_mask = exec_map.bits;
-  submit(hdr, Done{}, std::move(done));
+  QueuedOp q{.cas_done = std::move(done)};
+  q.hdr.type = 2;
+  q.hdr.offset = offset;
+  q.hdr.expected = expected;
+  q.hdr.desired = desired;
+  q.hdr.exec_mask = exec_map.bits;
+  submit(q);
 }
 
 void TcpReplicationGroup::gflush(Done done) {

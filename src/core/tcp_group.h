@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "core/group.h"
+#include "core/op_window.h"
 #include "core/server.h"
-#include "sim/ring.h"
 
 namespace hyperloop::core {
 
@@ -83,29 +83,19 @@ class TcpReplicationGroup final : public ReplicationGroup {
     sim::ProcessId pid = 0;
   };
 
-  /// One in-flight command, direct-mapped by seq & pending_mask_ (ACKs
-  /// come back in chain FIFO order, so live seqs form a window no wider
-  /// than max_inflight).
-  struct PendingSlot {
-    uint32_t seq = 0;
-    bool live = false;
-    Done done;
-    CasDone cas_done;
-  };
-
-  /// A command parked while the credit window is full; seq is assigned
-  /// when the command is finally issued.
+  /// A command by value with its callbacks; the window parks it while
+  /// no credit is free, and its seq is assigned when it is issued.
   struct QueuedOp {
-    Header hdr;
-    Done done;
-    CasDone cas_done;
+    Header hdr{};
+    Done done{};
+    CasDone cas_done{};
   };
 
   void on_replica_message(size_t i, std::vector<uint8_t> msg);
   void forward(size_t i, std::vector<uint8_t> msg);
   void on_client_ack(std::vector<uint8_t> msg);
-  void submit(Header hdr, Done done, CasDone cas_done);
-  void issue(Header hdr, Done done, CasDone cas_done);
+  void submit(QueuedOp& q);
+  void issue(QueuedOp& q);
   void send_cmd(std::vector<uint8_t> msg);
 
   Server& client_;
@@ -113,12 +103,9 @@ class TcpReplicationGroup final : public ReplicationGroup {
   Config cfg_;
   sim::ProcessId client_pid_;
   rdma::Addr client_region_ = 0;
-
-  uint32_t next_seq_ = 0;
-  uint32_t inflight_ = 0;
-  std::vector<PendingSlot> pending_;  ///< direct-mapped by seq & mask
-  uint32_t pending_mask_ = 0;
-  sim::Ring<QueuedOp> waiting_;  ///< commands parked for a credit
+  /// The tail ACKs the client over one FIFO connection, so a table twice
+  /// the credit window never collides.
+  OpWindow<QueuedOp> window_;
 };
 
 }  // namespace hyperloop::core

@@ -25,7 +25,20 @@ CompletionQueue* Nic::create_cq(size_t capacity) {
 void Nic::destroy_cq(CompletionQueue* cq) {
   assert(cq != nullptr);
   assert(cq->wait_head_qpn == 0 && "destroying a CQ with blocked waiters");
-  cqs_.erase(cq->id());
+  retired_cqs_.push_back(cqs_.erase(cq->id()));
+  free_retired();
+}
+
+void Nic::push_completion(CompletionQueue* cq, const Cqe& c) {
+  ++pushes_running_;
+  cq->push(c);
+  --pushes_running_;
+}
+
+void Nic::free_retired() {
+  if (pushes_running_ > 0) return;
+  retired_qps_.clear();
+  retired_cqs_.clear();
 }
 
 QueuePair* Nic::create_qp(CompletionQueue* send_cq, CompletionQueue* recv_cq,
@@ -73,7 +86,8 @@ void Nic::destroy_qp(QueuePair* q) {
     qp_cache_slots_[static_cast<size_t>(q->ctx_cache_slot)] = QpCacheSlot{};
     q->ctx_cache_slot = -1;
   }
-  qps_.erase(q->qpn);
+  retired_qps_.push_back(qps_.erase(q->qpn));
+  free_retired();
 }
 
 uint64_t Nic::post_send(QueuePair* qp, Wqe wqe, bool deferred_ownership) {
@@ -431,7 +445,7 @@ void Nic::local_completion(QueuePair* qp, const Wqe& w, CqStatus status,
   c.opcode = w.d.opcode;
   c.status = status;
   c.byte_len = bytes;
-  qp->send_cq->push(c);
+  push_completion(qp->send_cq, c);
 }
 
 // --------------------------------------------------------------- receive --
@@ -490,7 +504,7 @@ void Nic::dispatch_packet(Packet&& p) {
         c.byte_len = p.length;
         c.imm = p.imm;
         c.has_imm = true;
-        if (dst->recv_cq != nullptr) dst->recv_cq->push(c);
+        if (dst->recv_cq != nullptr) push_completion(dst->recv_cq, c);
       } else {
         responder_send(p, dst);
       }
@@ -555,7 +569,7 @@ void Nic::responder_send(Packet& p, QueuePair* dst) {
   c.opcode = static_cast<uint8_t>(Opcode::kSend);
   c.status = status;
   c.byte_len = static_cast<uint32_t>(p.payload.size());
-  if (dst->recv_cq != nullptr) dst->recv_cq->push(c);
+  if (dst->recv_cq != nullptr) push_completion(dst->recv_cq, c);
 
   send_response(p, Packet::Type::kAck, {}, static_cast<uint8_t>(status));
 }
@@ -678,7 +692,7 @@ void Nic::requester_response(Packet& p) {
       c.opcode = t.wr.opcode;
       c.status = CqStatus::kSuccess;
       c.byte_len = t.wr.byte_len;
-      q->send_cq->push(c);
+      push_completion(q->send_cq, c);
     }
     q->unacked.pop_front();
     progressed = true;
@@ -724,7 +738,7 @@ void Nic::requester_response(Packet& p) {
     c.opcode = done.wr.opcode;
     c.status = status;
     c.byte_len = done.wr.byte_len;
-    q->send_cq->push(c);
+    push_completion(q->send_cq, c);
   }
 }
 

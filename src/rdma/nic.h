@@ -147,9 +147,12 @@ class Nic {
   /// invalid_qp_drops, even after the slot is recycled by a later
   /// create_qp. WQEs still executing on it (an engine step, a local DMA
   /// copy or CAS) are dropped when they fire: no store, no completion.
+  /// Safe to call from a completion callback of this NIC (see
+  /// push_completion).
   void destroy_qp(QueuePair* qp);
 
-  /// Destroys a CQ. No QP may be blocked on it or using it.
+  /// Destroys a CQ. No QP may be blocked on it or using it. Safe to call
+  /// from a completion callback, including the CQ's own.
   void destroy_cq(CompletionQueue* cq);
 
   /// Posts a send WQE. With `deferred_ownership` the WQE is written with
@@ -216,6 +219,13 @@ class Nic {
   sim::Duration dma_cost(size_t bytes) const;
   void local_completion(QueuePair* qp, const Wqe& w, CqStatus status,
                         uint32_t bytes);
+  /// Pushes `c` onto `cq`. The push runs the CQ's notify callback, which
+  /// may tear its consumer down and destroy QPs and CQs of this NIC while
+  /// the calling frame still holds them; destroy_* therefore only retires
+  /// objects while a push is running, and frees them later.
+  void push_completion(CompletionQueue* cq, const Cqe& c);
+  /// Frees the retired objects unless a push is running.
+  void free_retired();
 
   // --- receive side ---
   // Inbound packets are passed by rvalue reference from the fabric to the
@@ -278,6 +288,10 @@ class Nic {
 
   SlotTable<QueuePair> qps_;
   SlotTable<CompletionQueue> cqs_;
+  uint32_t pushes_running_ = 0;
+  /// Destroyed during a push: unreachable by id, freed by free_retired().
+  std::vector<std::unique_ptr<QueuePair>> retired_qps_;
+  std::vector<std::unique_ptr<CompletionQueue>> retired_cqs_;
   std::vector<std::unique_ptr<SharedReceiveQueue>> srqs_;
   /// QPNs whose engine is stalled at an inactive (deferred-ownership)
   /// head WQE, i.e. the only queues a DMA patch could wake. Entries are

@@ -334,6 +334,46 @@ TEST(NicAllocTransaction, GroupCommitGwritevLapAllocatesNothing) {
   EXPECT_EQ(group.counters().gwritevs, wal.stats().gwritev_batches);
 }
 
+// The credit-window lap: each lap submits three windows' worth of
+// gWRITEs at once, so two thirds of them park in the window's credit FIFO
+// and replay from inside the ack handler as credits free. Once the FIFO
+// ring has grown to that depth, parking and replay allocate nothing.
+TEST(NicAllocTransaction, CreditFifoReplayLapAllocatesNothing) {
+  Cluster cluster{[] {
+    Cluster::Config c;
+    c.num_servers = 4;
+    c.server.cpu.num_cores = 8;
+    return c;
+  }()};
+  HyperLoopGroup::Config gc;
+  gc.region_size = 1 << 20;
+  gc.ring_slots = 64;
+  gc.max_inflight = 16;
+  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
+                               &cluster.server(2)};
+  HyperLoopGroup group(cluster.server(3), reps, gc);
+
+  const uint32_t per_lap = 3 * gc.max_inflight;
+  uint64_t completed = 0;
+  auto lap = [&] {
+    for (uint32_t i = 0; i < per_lap; ++i) {
+      group.gwrite(64 * i, 64, /*flush=*/i % 4 == 0, [&] { ++completed; });
+    }
+    cluster.loop().run_until(cluster.loop().now() + sim::msec(5));
+  };
+
+  for (int i = 0; i < 24; ++i) lap();
+  ASSERT_EQ(completed, 24u * per_lap);
+
+  const uint64_t before = g_alloc_count;
+  for (int i = 0; i < 4; ++i) lap();
+  EXPECT_EQ(g_alloc_count - before, 0u)
+      << "credit-window lap (park -> replay -> complete) performed "
+      << (g_alloc_count - before) << " heap allocations";
+  EXPECT_EQ(completed, 28u * per_lap);
+  EXPECT_EQ(group.counters().gwrites, 28u * per_lap);
+}
+
 // The copy-discipline gate: a 64 KB gWRITE through a 3-replica chain
 // must move payload bytes exactly 1 + num_sinks times — one DMA-in
 // gather at the source NIC and one DMA-out into each sink's region.

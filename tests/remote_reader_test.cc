@@ -6,7 +6,7 @@
 //   - slot exhaustion: reads park FIFO and replay in order (no jumping)
 //   - readv extent batching: one endpoint, bytes concatenated in order
 //   - teardown with reads in flight: callbacks dropped, responses drop at
-//     the NIC as invalid_qp_drops, no crash
+//     the NIC as invalid_qp_drops, no crash; teardown from a callback
 //   - ShardedReader routing, cross-shard scatter/join, boundary-splitting
 //     scan, and stop() aborting live joins
 #include "core/remote_reader.h"
@@ -280,6 +280,25 @@ TEST_F(ReaderFixture, StopAbortsParkedReads) {
   reader->stop();
   run(sim::msec(10));
   EXPECT_EQ(fired, 0);
+  EXPECT_EQ(reader->stats().aborted_reads, 3u);
+}
+
+TEST_F(ReaderFixture, StopFromInsideAReadCallback) {
+  // The callback runs inside the NIC's completion push for the reader's
+  // own CQ; stop() destroys that CQ and its QPs under the push.
+  RemoteReader::Options opts;
+  opts.slots = 1;
+  opts.slot_size = 4096;
+  auto reader = make_reader(opts);
+  int fired = 0;
+  for (uint64_t i = 0; i < 4; ++i) {
+    reader->read(64 * i, 32, [&](ReadView) {
+      ++fired;
+      reader->stop();
+    });
+  }
+  run(sim::msec(10));
+  EXPECT_EQ(fired, 1);
   EXPECT_EQ(reader->stats().aborted_reads, 3u);
 }
 

@@ -14,12 +14,15 @@ ROOT=$(cd "$(dirname "$0")/.." && pwd)
 
 FILES="
 src/core/group.h
+src/core/op_window.h
 src/core/hyperloop_group.h
 src/core/hyperloop_group.cc
 src/core/naive_group.h
 src/core/naive_group.cc
 src/core/fanout_group.h
 src/core/fanout_group.cc
+src/core/tcp_group.h
+src/core/tcp_group.cc
 src/core/wal.h
 src/core/wal.cc
 src/core/sharded_group.h
@@ -34,6 +37,8 @@ src/rdma/completion_queue.h
 src/rdma/completion_queue.cc
 src/rdma/queue_pair.h
 src/rdma/slot_table.h
+src/rdma/verbs_owner.h
+src/rdma/verbs_owner.cc
 src/rdma/payload_buf.h
 src/rdma/payload_buf.cc
 src/rdma/memory.h
