@@ -221,6 +221,33 @@ void BM_HyperLoopGwriteSimulated(benchmark::State& state) {
 }
 BENCHMARK(BM_HyperLoopGwriteSimulated);
 
+// Group set-up: build and destroy a default 3-replica HyperLoopGroup
+// (QPs, CQs, MRs and 4 primitives x 512 pre-armed RECV slots per
+// replica), the fixed cost every test, seed and perfbench run pays
+// before its first op. A fresh cluster per iteration, outside the timed
+// region, since server memory is a bump allocator. Reports time per
+// build only (no items/s), so compare_selfcheck.py does not gate it.
+void BM_HyperLoopGroupSetup(benchmark::State& state) {
+  using namespace hyperloop::bench;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto cluster = make_cluster(3, 42);
+    std::vector<core::Server*> reps = {&cluster->server(0),
+                                       &cluster->server(1),
+                                       &cluster->server(2)};
+    state.ResumeTiming();
+    {
+      core::HyperLoopGroup group(cluster->server(3), reps,
+                                 core::HyperLoopGroup::Config{});
+      benchmark::DoNotOptimize(&group);
+    }
+    state.PauseTiming();
+    cluster.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_HyperLoopGroupSetup)->Unit(benchmark::kMillisecond);
+
 // The raw NIC datapath, no servers/groups on top: two NICs, batched 128B
 // WRITEs, measured in packets handled per wall-clock second (each WRITE is
 // one request packet + one ACK through handle_packet on each side). This

@@ -1,5 +1,6 @@
 #include "apps/docstore/docstore.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -236,12 +237,19 @@ void DocStore::read_modify_write(uint64_t key, std::vector<uint8_t> value,
 }
 
 void DocStore::bulk_load(uint64_t n) {
-  for (uint64_t k = 0; k < n; ++k) {
-    const auto doc =
-        encode_doc(k, WorkloadGenerator::value_for(k, cfg_.value_size));
-    const Shard& sh = shards_[shard_of(k)];
-    group_.client_store(sh.layout.db_base() + slot_offset(k), doc.data(),
-                        static_cast<uint32_t>(doc.size()));
+  constexpr uint64_t kLanes = WorkloadGenerator::kValueLanes;
+  const uint32_t size = cfg_.value_size;
+  std::vector<uint8_t> values(kLanes * size);
+  for (uint64_t k0 = 0; k0 < n; k0 += kLanes) {
+    const uint64_t m = std::min(kLanes, n - k0);
+    WorkloadGenerator::fill_values(k0, m, size, values.data());
+    for (uint64_t k = k0; k < k0 + m; ++k) {
+      const uint8_t* v = values.data() + (k - k0) * size;
+      const auto doc = encode_doc(k, std::vector<uint8_t>(v, v + size));
+      const Shard& sh = shards_[shard_of(k)];
+      group_.client_store(sh.layout.db_base() + slot_offset(k), doc.data(),
+                          static_cast<uint32_t>(doc.size()));
+    }
   }
   const uint32_t chunk = 256 << 10;
   for (uint32_t s = 0; s < cfg_.shards; ++s) {

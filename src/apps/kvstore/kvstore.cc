@@ -1,5 +1,6 @@
 #include "apps/kvstore/kvstore.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -317,13 +318,21 @@ void KvStore::bulk_load(uint64_t n) {
   // Control-path load: fill client memtables + region image, replicate
   // each shard's DB span in large chunks, and seed the replica tables
   // directly.
-  for (uint64_t k = 0; k < n; ++k) {
-    auto value = WorkloadGenerator::value_for(k, cfg_.value_size);
-    const auto slot = encode_slot(k, value);
-    const Shard& sh = shards_[shard_of(k)];
-    group_.client_store(sh.layout.db_base() + slot_offset(k), slot.data(),
-                        static_cast<uint32_t>(slot.size()));
-    shards_[shard_of(k)].memtable.insert(k, std::move(value));
+  constexpr uint64_t kLanes = WorkloadGenerator::kValueLanes;
+  const uint32_t size = cfg_.value_size;
+  std::vector<uint8_t> values(kLanes * size);
+  for (uint64_t k0 = 0; k0 < n; k0 += kLanes) {
+    const uint64_t m = std::min(kLanes, n - k0);
+    WorkloadGenerator::fill_values(k0, m, size, values.data());
+    for (uint64_t k = k0; k < k0 + m; ++k) {
+      const uint8_t* v = values.data() + (k - k0) * size;
+      std::vector<uint8_t> value(v, v + size);
+      const auto slot = encode_slot(k, value);
+      const Shard& sh = shards_[shard_of(k)];
+      group_.client_store(sh.layout.db_base() + slot_offset(k), slot.data(),
+                          static_cast<uint32_t>(slot.size()));
+      shards_[shard_of(k)].memtable.insert(k, std::move(value));
+    }
   }
   const uint32_t chunk = 256 << 10;
   for (uint32_t s = 0; s < cfg_.shards; ++s) {

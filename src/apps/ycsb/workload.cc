@@ -1,5 +1,6 @@
 #include "apps/ycsb/workload.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace hyperloop::apps {
@@ -111,17 +112,50 @@ Op WorkloadGenerator::next() {
   return op;
 }
 
+namespace {
+
+uint64_t value_seed(uint64_t key) { return key * 0x9e3779b97f4a7c15ULL + 1; }
+
+/// One xorshift64 step: the next state, whose low byte is the next
+/// value byte.
+uint64_t value_step(uint64_t x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  return x;
+}
+
+}  // namespace
+
 std::vector<uint8_t> WorkloadGenerator::value_for(uint64_t key,
                                                   uint32_t size) {
   std::vector<uint8_t> v(size);
-  uint64_t x = key * 0x9e3779b97f4a7c15ULL + 1;
+  uint64_t x = value_seed(key);
   for (uint32_t i = 0; i < size; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
+    x = value_step(x);
     v[i] = static_cast<uint8_t>(x);
   }
   return v;
+}
+
+void WorkloadGenerator::fill_values(uint64_t first_key, size_t n,
+                                    uint32_t size, uint8_t* out) {
+  for (size_t base = 0; base < n; base += kValueLanes) {
+    const size_t lanes = std::min(kValueLanes, n - base);
+    uint64_t x[kValueLanes];
+    for (size_t j = 0; j < kValueLanes; ++j) {
+      x[j] = value_seed(first_key + base + j);
+    }
+    uint8_t* dst = out + base * size;
+    for (uint32_t i = 0; i < size; ++i) {
+      // All lanes step even past `lanes`: a fixed-width pass keeps the
+      // chains independent and the loop unrollable.
+      for (size_t j = 0; j < kValueLanes; ++j) x[j] = value_step(x[j]);
+      for (size_t j = 0; j < lanes; ++j) {
+        dst[j * size + i] = static_cast<uint8_t>(x[j]);
+      }
+    }
+  }
 }
 
 }  // namespace hyperloop::apps

@@ -61,6 +61,16 @@ class WorkloadGenerator {
   /// Deterministic record value for a key (also used to verify reads).
   static std::vector<uint8_t> value_for(uint64_t key, uint32_t size);
 
+  /// Keys fill_values interleaves per pass.
+  static constexpr size_t kValueLanes = 8;
+  /// Bulk-load form of value_for: writes the values of keys first_key ..
+  /// first_key + n - 1 back to back, key first_key + j at out + j * size,
+  /// with bytes identical to value_for. Each byte of value_for is one step
+  /// of a serial xorshift chain; this runs kValueLanes keys' chains
+  /// interleaved, so their steps overlap instead of waiting on each other.
+  static void fill_values(uint64_t first_key, size_t n, uint32_t size,
+                          uint8_t* out);
+
  private:
   uint64_t choose_key();
 

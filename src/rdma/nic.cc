@@ -485,8 +485,7 @@ void Nic::dispatch_packet(Packet&& p) {
     case Packet::Type::kWriteImm: {
       QueuePair* dst = qp(p.dst_qpn);
       assert(dst != nullptr && "packet for unknown QP");
-      sim::Ring<RecvWqe>& pool =
-          dst->srq != nullptr ? dst->srq->queue : dst->recv_queue;
+      RecvRing& pool = dst->srq != nullptr ? dst->srq->queue : dst->recv_queue;
       if (pool.empty()) {
         ++counters_.rnr_stalls;
         dst->stalled_inbound.push_back(std::move(p));
@@ -495,7 +494,7 @@ void Nic::dispatch_packet(Packet&& p) {
       if (p.type == Packet::Type::kWriteImm) {
         responder_write(p);  // sends the ACK itself
         // Consume a RECV to deliver the immediate.
-        const uint64_t wr_id = pool.front().wr_id;
+        const uint64_t wr_id = pool.front_wr_id();
         pool.pop_front();
         Cqe c;
         c.wr_id = wr_id;
@@ -528,15 +527,14 @@ void Nic::dispatch_packet(Packet&& p) {
 }
 
 void Nic::responder_send(Packet& p, QueuePair* dst) {
-  sim::Ring<RecvWqe>& pool =
-      dst->srq != nullptr ? dst->srq->queue : dst->recv_queue;
+  RecvRing& pool = dst->srq != nullptr ? dst->srq->queue : dst->recv_queue;
   // Consumed in place: the scatter below runs no host code, so nothing
-  // posts to `pool` while `r` is in use (checked after each store, whose
-  // write observers and DMA hooks are the only code it reaches); it is
-  // popped before the CQE push, whose notify callback may post the next
-  // RECV.
-  const RecvWqe& r = pool.front();
-  const uint64_t wr_id = r.wr_id;
+  // posts to `pool` while its front entry is read (checked after each
+  // store, whose write observers and DMA hooks are the only code it
+  // reaches); it is popped before the CQE push, whose notify callback
+  // may post the next RECV.
+  const uint64_t wr_id = pool.front_wr_id();
+  const uint32_t nsges = pool.front_sge_count();
   [[maybe_unused]] const size_t depth = pool.size();
 
   // Scatter the payload across the RECV's SGE list, in order. This is
@@ -544,8 +542,8 @@ void Nic::responder_send(Packet& p, QueuePair* dst) {
   // pre-posted WQE descriptors in the send-queue rings.
   size_t off = 0;
   CqStatus status = CqStatus::kSuccess;
-  for (const Sge& sge : r.sges) {
-    if (off >= p.payload.size()) break;
+  for (uint32_t i = 0; i < nsges && off < p.payload.size(); ++i) {
+    const Sge sge = pool.front_sge(i);
     const size_t n = std::min<size_t>(sge.length, p.payload.size() - off);
     if (!mrs_.check_local(sge.lkey, sge.addr, n)) {
       status = CqStatus::kLocalProtectionError;
@@ -553,8 +551,7 @@ void Nic::responder_send(Packet& p, QueuePair* dst) {
     }
     mem_.write(sge.addr, p.payload.data() + off, n);
     after_dma_write(sge.addr, n);
-    assert(pool.size() == depth && &pool.front() == &r &&
-           "RECV posted during scatter; `r` may dangle");
+    assert(pool.size() == depth && "RECV posted during scatter");
     off += n;
   }
   if (off < p.payload.size() && status == CqStatus::kSuccess) {

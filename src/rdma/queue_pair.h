@@ -4,13 +4,15 @@
 // memory (allocated from HostMemory at creation), so remote NICs can patch
 // descriptors via DMA — the enabling mechanism for HyperLoop's remote
 // work-request manipulation. Receive WQEs are NIC-side (only send queues
-// need to be remotely writable).
+// need to be remotely writable) and are stored per posted entry: a RECV
+// takes one header cell plus one 16-byte cell per SGE it posts
+// (rdma::RecvRing), not a fixed SgeList::kMaxSges-wide slot.
 //
-// Datapath notes: all per-QP transport queues are flat rings
-// (sim::Ring) so steady-state traffic never touches the allocator, and
-// the requester's retransmit window carries the completion bookkeeping
-// inline (PendingWr) — matching a response to its work request is a ring
-// walk from the window head, not a hash lookup.
+// Datapath notes: all per-QP transport queues are flat rings (sim::Ring,
+// RecvRing) so steady-state traffic never touches the allocator, and the
+// requester's retransmit window carries the completion bookkeeping inline
+// (PendingWr) — matching a response to its work request is a ring walk
+// from the window head, not a hash lookup.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 
 #include "rdma/completion_queue.h"
 #include "rdma/packet.h"
+#include "rdma/recv_ring.h"
 #include "rdma/wqe.h"
 #include "sim/event_loop.h"
 #include "sim/ring.h"
@@ -32,7 +35,7 @@ class Nic;
 /// a single pre-posted ring.
 struct SharedReceiveQueue {
   uint32_t srqn = 0;
-  sim::Ring<RecvWqe> queue;
+  RecvRing queue;
   /// QPNs of attached QPs, in attach order (RNR replay scans these).
   /// QPN-based, not pointer-based: a destroyed member goes stale via its
   /// generation tag instead of leaving a dangling pointer key.
@@ -88,7 +91,7 @@ struct QueuePair {
   CompletionQueue* send_cq = nullptr;
   CompletionQueue* recv_cq = nullptr;
 
-  sim::Ring<RecvWqe> recv_queue;
+  RecvRing recv_queue;
   /// When set, inbound SEND/WRITE_IMM consume from the SRQ instead of
   /// recv_queue.
   SharedReceiveQueue* srq = nullptr;

@@ -87,25 +87,35 @@ struct Wqe {
 };
 static_assert(sizeof(Wqe) % 8 == 0);
 
-/// Scatter/gather element for RECVs.
+/// Scatter/gather element for RECVs. Trivially default-constructible
+/// (`Sge{}` is all zeros; a plain `Sge s;` is uninitialised) so a
+/// SgeList's unused entries cost nothing to build.
 struct Sge {
-  Addr addr = 0;
-  uint32_t length = 0;
-  uint32_t lkey = 0;
+  Addr addr;
+  uint32_t length;
+  uint32_t lkey;
 };
+static_assert(sizeof(Sge) == 16, "a receive-ring cell holds one Sge");
 
-/// Fixed-capacity SGE list: pre-posted RECVs are re-armed on the refill
-/// hot path (one per ring slot), so the scatter list lives inline in the
-/// WQE instead of on the heap. The widest consumer is the fanout
-/// primary rearm at 4 + 3*K entries for K backups (K <= 7 with the
-/// group-size-8 cap shared by the naive/tcp baselines).
+/// Bounded SGE list built on the stack by RECV re-arm paths. kMaxSges
+/// is the API bound, not a storage size: the widest consumer is the
+/// fanout primary rearm at 4 + 3*K entries for K backups (K <= 7 with
+/// the group-size-8 cap shared by the naive/tcp baselines). Entries past
+/// `count` stay uninitialised and are never copied, and a receive queue
+/// stores only the `count` entries a RECV posts (rdma::RecvRing).
 struct SgeList {
   static constexpr size_t kMaxSges = 25;
 
-  Sge entries[kMaxSges];
   uint32_t count = 0;
+  Sge entries[kMaxSges];
 
-  SgeList() = default;
+  SgeList() {}  // user-provided: value-init must not zero `entries`
+  SgeList(const SgeList& o) { *this = o; }
+  SgeList& operator=(const SgeList& o) {
+    count = o.count;
+    for (uint32_t i = 0; i < count; ++i) entries[i] = o.entries[i];
+    return *this;
+  }
   SgeList(std::initializer_list<Sge> il) { *this = il; }
   SgeList& operator=(std::initializer_list<Sge> il) {
     assert(il.size() <= kMaxSges);
@@ -120,13 +130,12 @@ struct SgeList {
   }
   size_t size() const { return count; }
   bool empty() const { return count == 0; }
-  const Sge* begin() const { return entries; }
-  const Sge* end() const { return entries + count; }
 };
 
-/// A receive WQE: inbound SEND payload is scattered across `sges` in
-/// order. Held NIC-side (the paper only requires *send* queues to be
-/// remotely writable).
+/// A receive WQE as posted: inbound SEND payload is scattered across
+/// `sges` in order. Held NIC-side (the paper only requires *send* queues
+/// to be remotely writable), as a RecvRing entry of 1 + sges.size()
+/// cells.
 struct RecvWqe {
   uint64_t wr_id = 0;
   SgeList sges;

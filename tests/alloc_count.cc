@@ -9,9 +9,11 @@
 #include <new>
 
 uint64_t g_alloc_count = 0;
+uint64_t g_alloc_bytes = 0;
 
 void* operator new(std::size_t n) {
   ++g_alloc_count;
+  g_alloc_bytes += n;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }

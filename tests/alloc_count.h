@@ -7,3 +7,6 @@
 
 /// Number of global operator new calls since process start.
 extern uint64_t g_alloc_count;
+/// Bytes requested by those calls (exact: the sizes asked for, not the
+/// allocator's rounded block sizes).
+extern uint64_t g_alloc_bytes;

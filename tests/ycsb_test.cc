@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "apps/ycsb/driver.h"
@@ -92,6 +93,25 @@ TEST(WorkloadGenerator, ValuesAreDeterministicPerKey) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a.size(), 1024u);
+}
+
+TEST(WorkloadGenerator, FillValuesMatchesValueFor) {
+  // Lane-interleaved bulk generation must reproduce value_for byte for
+  // byte: a partial pass (1, 7), exactly one (8), one plus a tail (9)
+  // and many (100), from a key base that is not a lane multiple.
+  for (const size_t n : {1, 7, 8, 9, 100}) {
+    for (const uint32_t size : {1u, 100u, 1024u}) {
+      const uint64_t first = 1000003;
+      std::vector<uint8_t> out(n * size);
+      WorkloadGenerator::fill_values(first, n, size, out.data());
+      for (size_t j = 0; j < n; ++j) {
+        const auto want = WorkloadGenerator::value_for(first + j, size);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                               out.begin() + static_cast<std::ptrdiff_t>(j * size)))
+            << "n=" << n << " size=" << size << " key index " << j;
+      }
+    }
+  }
 }
 
 // A trivial synchronous in-memory engine to test the driver itself.

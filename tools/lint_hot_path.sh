@@ -36,6 +36,7 @@ src/rdma/nic.cc
 src/rdma/completion_queue.h
 src/rdma/completion_queue.cc
 src/rdma/queue_pair.h
+src/rdma/recv_ring.h
 src/rdma/slot_table.h
 src/rdma/verbs_owner.h
 src/rdma/verbs_owner.cc
