@@ -11,7 +11,6 @@
 #include "core/region_layout.h"
 #include "core/wal.h"
 #include "nvm/dirty_bitmap.h"
-#include "nvm/interval_set.h"
 #include "nvm/nvm_device.h"
 #include "rdma/network.h"
 #include "rdma/nic.h"
@@ -680,24 +679,8 @@ void BM_ShardedScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedScan)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_IntervalSetChurn(benchmark::State& state) {
-  nvm::IntervalSet s;
-  sim::Rng rng(4);
-  for (auto _ : state) {
-    const uint64_t a = rng.next_below(1 << 20);
-    if (rng.chance(0.7)) {
-      s.insert(a, a + 64);
-    } else {
-      s.erase(a, a + 4096);
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_IntervalSetChurn);
-
-// Same op mix as BM_IntervalSetChurn, on the production tracker: the
-// two-level DirtyBitmap that replaced the std::map interval set in
-// NvmDevice. Apples-to-apples measurement of the swap.
+// Mark/clear churn on the production dirty tracker: the two-level
+// DirtyBitmap behind NvmDevice (70% 64 B marks, 30% 4 KB clears).
 void BM_DirtyBitmapChurn(benchmark::State& state) {
   nvm::DirtyBitmap s(1 << 21);
   sim::Rng rng(4);
@@ -715,8 +698,9 @@ BENCHMARK(BM_DirtyBitmapChurn);
 
 // The full durability-tracker hot loop as the simulator drives it: stores
 // into the NVM range funnel through HostMemory's range-filtered observer
-// into the dirty bitmap, with periodic range persists and gFLUSH-style
-// full write-backs. One item = one simulated 128 B store.
+// into the dirty bitmap and the undo pool (a flushed line's pre-image is
+// saved on its first store after a flush), with periodic range persists
+// and gFLUSH-style full write-backs. One item = one simulated 128 B store.
 void BM_NvmDirtyTracking(benchmark::State& state) {
   using namespace hyperloop::rdma;
   HostMemory mem(8 << 20);

@@ -62,16 +62,16 @@ void HostMemory::copy(Addr dst, Addr src, size_t len) {
   check(dst, len);
   check(src, len);
   borrows_.materialize_range(dst, len);
-  std::memmove(bytes_.data() + dst, bytes_.data() + src, len);
   if (watched(dst, len)) notify(dst, len);
+  std::memmove(bytes_.data() + dst, bytes_.data() + src, len);
 }
 
 void HostMemory::fill(Addr addr, uint8_t value, size_t len) {
   if (len == 0) return;
   check(addr, len);
   borrows_.materialize_range(addr, len);
-  std::memset(bytes_.data() + addr, value, len);
   if (watched(addr, len)) notify(addr, len);
+  std::memset(bytes_.data() + addr, value, len);
 }
 
 void HostMemory::add_write_observer(Addr begin, Addr end,

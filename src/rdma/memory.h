@@ -4,9 +4,12 @@
 // allocator over a byte arena). The arena is a LazyArena: anonymous
 // mmap, so the kernel zeroes each page on first touch and set-up costs
 // nothing for the (large) part of a server's DRAM a run never uses.
-// All mutation goes through write()/write_obj() so that observers — the
-// NVM durability tracker — see every store, whether it came from the CPU
-// or a NIC DMA engine. Observers are range-filtered: each registers the
+// All mutation goes through write()/write_obj()/copy()/fill() so that
+// observers — the NVM durability tracker — see every store, whether it
+// came from the CPU or a NIC DMA engine. An observer runs *before* the
+// store lands, so it can read the bytes about to be overwritten (the NVM
+// undo pool saves a line's pre-image this way). Observers are
+// range-filtered: each registers the
 // [begin, end) window it watches, and stores outside every watched window
 // skip dispatch with a single compare against the cached union of all
 // windows — WQE patches, CQE writes and payload staging never pay an
@@ -80,23 +83,24 @@ class HostMemory {
   /// experiment parameter, not a runtime condition.
   Addr alloc(size_t size, size_t align = 64);
 
-  /// Copies `len` bytes into memory at `addr`, notifying observers whose
-  /// watched range overlaps the write. Inline, like read(), so callers
-  /// with a fixed size (write_obj) get the copy as plain moves.
+  /// Copies `len` bytes into memory at `addr`, first notifying observers
+  /// whose watched range overlaps the write (they still see the old
+  /// bytes). Inline, like read(), so callers with a fixed size
+  /// (write_obj) get the copy as plain moves.
   void write(Addr addr, const void* src, size_t len) {
     if (len == 0) return;
     check(addr, len);
     // Copy-on-write: borrows over this range keep the pre-store bytes.
     borrows_.materialize_range(addr, len);
-    std::memcpy(bytes_.data() + addr, src, len);
     if (watched(addr, len)) notify(addr, len);
+    std::memcpy(bytes_.data() + addr, src, len);
   }
 
   /// Copies `len` bytes into memory at `addr` WITHOUT notifying observers.
-  /// This is the durability-revert path: NvmDevice::crash() restores the
-  /// durable image through it, so the restore does not re-mark the
-  /// restored ranges dirty. Simulation code modeling real stores must use
-  /// write() instead.
+  /// This is the durability-revert path: NvmDevice::crash() writes saved
+  /// pre-images (and zeroes) back through it, so the restore does not
+  /// re-mark the restored ranges dirty. Simulation code modeling real
+  /// stores must use write() instead.
   void restore(Addr addr, const void* src, size_t len);
 
   /// Copies `len` bytes out of memory at `addr`.
@@ -107,10 +111,12 @@ class HostMemory {
   }
 
   /// Memory-to-memory copy within this address space (DMA engines use
-  /// this for gMEMCPY); handles overlap like memmove.
+  /// this for gMEMCPY); handles overlap like memmove. Observers of `dst`
+  /// run before the copy.
   void copy(Addr dst, Addr src, size_t len);
 
-  /// Fills `len` bytes at `addr` with `value`.
+  /// Fills `len` bytes at `addr` with `value`. Observers run before the
+  /// fill.
   void fill(Addr addr, uint8_t value, size_t len);
 
   /// Typed load of a trivially-copyable object. The size is a constant,
@@ -143,9 +149,11 @@ class HostMemory {
   /// Live zero-copy borrows over this arena (tests).
   size_t live_borrows() const { return borrows_.live(); }
 
-  /// Registers an observer called after every write overlapping
-  /// [begin, end) with the written (addr, len). Writes entirely outside
-  /// every registered window are filtered before any indirect call.
+  /// Registers an observer called with (addr, len) before every write,
+  /// copy or fill overlapping [begin, end) stores its bytes, so reading
+  /// the range from inside the callback yields the pre-store contents.
+  /// Writes entirely outside every registered window are filtered before
+  /// any indirect call.
   void add_write_observer(Addr begin, Addr end,
                           sim::SmallFn<void(Addr, size_t)> fn);
 

@@ -142,6 +142,61 @@ TEST(HostMemory, RestoreBypassesObservers) {
   EXPECT_STREQ(out, "quiet");  // bytes land even though nobody is told
 }
 
+// Observers run before the store lands: one that reads its range inside
+// the callback sees the bytes being overwritten (the NVM undo pool saves
+// pre-images this way). Checked for each of write, copy and fill.
+struct PreStoreProbe {
+  explicit PreStoreProbe(HostMemory& m) : mem(m) {}
+  void watch(Addr lo, Addr hi) {
+    mem.add_write_observer(lo, hi, [this](Addr a, size_t l) {
+      seen.assign(l, 0);
+      mem.read(a, seen.data(), l);
+    });
+  }
+  HostMemory& mem;
+  std::vector<uint8_t> seen;
+};
+
+TEST(HostMemory, ObserverSeesBytesBeforeWrite) {
+  HostMemory m(4096);
+  const Addr a = m.alloc(64);
+  m.write(a, "old!", 4);
+  PreStoreProbe probe(m);
+  probe.watch(a, a + 64);
+  m.write(a, "new!", 4);
+  ASSERT_EQ(probe.seen.size(), 4u);
+  EXPECT_EQ(std::memcmp(probe.seen.data(), "old!", 4), 0);
+  char out[4];
+  m.read(a, out, 4);
+  EXPECT_EQ(std::memcmp(out, "new!", 4), 0);
+}
+
+TEST(HostMemory, ObserverSeesBytesBeforeCopy) {
+  HostMemory m(4096);
+  const Addr a = m.alloc(64);
+  m.write(a, "abcdefgh", 8);
+  PreStoreProbe probe(m);
+  probe.watch(a, a + 64);
+  m.copy(a + 2, a, 6);  // overlapping: dst bytes "cdefgh" are replaced
+  ASSERT_EQ(probe.seen.size(), 6u);
+  EXPECT_EQ(std::memcmp(probe.seen.data(), "cdefgh", 6), 0);
+  char out[8];
+  m.read(a, out, 8);
+  EXPECT_EQ(std::memcmp(out, "ababcdef", 8), 0);
+}
+
+TEST(HostMemory, ObserverSeesBytesBeforeFill) {
+  HostMemory m(4096);
+  const Addr a = m.alloc(64);
+  m.write(a, "xyz", 3);
+  PreStoreProbe probe(m);
+  probe.watch(a, a + 64);
+  m.fill(a, 0x5A, 3);
+  ASSERT_EQ(probe.seen.size(), 3u);
+  EXPECT_EQ(std::memcmp(probe.seen.data(), "xyz", 3), 0);
+  EXPECT_EQ(m.read_obj<uint8_t>(a + 2), 0x5A);
+}
+
 TEST(HostMemory, ZeroLengthOpsAreNoops) {
   HostMemory m(4096);
   int calls = 0;

@@ -167,8 +167,8 @@ TEST_F(Fixture, BoundaryLinesTrackIndependently) {
 }
 
 TEST(NvmDeviceShadow, CrashOfNeverPersistedFarLineReadsZero) {
-  // The durable shadow is lazily zeroed too: a line at the far end of a
-  // 64 MB device that was written but never persisted reverts to zero.
+  // A line at the far end of a 64 MB device that was written but never
+  // persisted reverts to zero.
   rdma::HostMemory mem{(size_t{64} << 20) + (1 << 20)};
   NvmDevice nvm{mem, size_t{64} << 20};
   const rdma::Addr last = nvm.base() + nvm.size() - kLine;
@@ -179,6 +179,51 @@ TEST(NvmDeviceShadow, CrashOfNeverPersistedFarLineReadsZero) {
     EXPECT_EQ(mem.read_obj<uint64_t>(last + off), 0u);
   }
   EXPECT_EQ(nvm.dirty_bytes(), 0u);
+}
+
+// undo_bytes() counts pre-image storage exactly: 1 KB per 16-line chunk
+// that holds the pre-image of a dirty line flushed before.
+constexpr uint64_t kChunk = 16 * kLine;
+
+TEST_F(Fixture, UndoBytesZeroForNeverFlushedLines) {
+  const rdma::Addr a = nvm.alloc(4 * kChunk);
+  for (uint64_t off = 0; off < 4 * kChunk; off += 3 * kLine) {
+    mem.write(a + off, "fresh", 5);
+  }
+  EXPECT_GT(nvm.dirty_bytes(), 0u);
+  EXPECT_EQ(nvm.undo_bytes(), 0u);  // a crash restores zeroes, not bytes
+}
+
+TEST_F(Fixture, UndoBytesOneChunkForRewritesWithinIt) {
+  const rdma::Addr a = nvm.alloc(2 * kChunk);
+  mem.fill(a, 0x11, kChunk);
+  nvm.persist(a, kChunk);
+  mem.write(a, "one", 3);                 // line 0
+  mem.write(a + 5 * kLine + 62, "two", 3);  // lines 5-6
+  mem.write(a + 15 * kLine, "three", 5);  // line 15
+  mem.write(a, "again", 5);               // line 0, already saved
+  EXPECT_EQ(nvm.undo_bytes(), kChunk);
+  EXPECT_EQ(nvm.dirty_bytes(), 4 * kLine);
+  nvm.crash();
+  for (uint64_t off = 0; off < kChunk; ++off) {
+    ASSERT_EQ(mem.read_obj<uint8_t>(a + off), 0x11) << off;
+  }
+}
+
+TEST_F(Fixture, UndoBytesZeroAfterPersistAllAndCrash) {
+  const rdma::Addr a = nvm.alloc(8 * kChunk);
+  mem.fill(a, 0x22, 8 * kChunk);
+  nvm.persist_all();
+  for (uint64_t c = 0; c < 8; ++c) mem.write(a + c * kChunk + 7, "x", 1);
+  EXPECT_EQ(nvm.undo_bytes(), 8 * kChunk);
+  nvm.persist_all();
+  EXPECT_EQ(nvm.undo_bytes(), 0u);
+  for (uint64_t c = 0; c < 8; ++c) mem.write(a + c * kChunk + 9, "y", 1);
+  EXPECT_EQ(nvm.undo_bytes(), 8 * kChunk);
+  nvm.crash();
+  EXPECT_EQ(nvm.undo_bytes(), 0u);
+  EXPECT_EQ(mem.read_obj<uint8_t>(a + 7), 'x');
+  EXPECT_EQ(mem.read_obj<uint8_t>(a + 9), 0x22);
 }
 
 }  // namespace

@@ -46,6 +46,10 @@ src/rdma/memory.h
 src/rdma/memory.cc
 src/rdma/packet.h
 src/rdma/wqe.h
+src/nvm/nvm_device.h
+src/nvm/nvm_device.cc
+src/nvm/dirty_bitmap.h
+src/nvm/dirty_bitmap.cc
 src/sim/event_loop.h
 src/sim/event_loop.cc
 src/sim/ring.h
