@@ -2,17 +2,6 @@
 
 namespace hyperloop::nvm {
 
-namespace {
-
-/// Mask of line bits within one word for inclusive lines [lo, hi], where
-/// lo and hi are bit positions 0..63.
-inline uint64_t bit_span(int lo, int hi) {
-  const uint64_t upper = hi == 63 ? ~0ull : (1ull << (hi + 1)) - 1;
-  return upper & ~((1ull << lo) - 1);
-}
-
-}  // namespace
-
 DirtyBitmap::DirtyBitmap(uint64_t size_bytes)
     : size_(size_bytes),
       lines_((size_bytes + kLineBytes - 1) >> kLineShift),
@@ -28,29 +17,6 @@ bool DirtyBitmap::to_lines(uint64_t begin, uint64_t end, uint64_t* first,
   return true;
 }
 
-void DirtyBitmap::mark(uint64_t begin, uint64_t end) {
-  uint64_t first, last;
-  if (!to_lines(begin, end, &first, &last)) return;
-  const uint64_t w0 = first >> 6, w1 = last >> 6;
-  const size_t s0 = w0 >> 6, s1 = (w1 >> 6) + 1;
-  if (sum_lo_ >= sum_hi_) {
-    sum_lo_ = s0;
-    sum_hi_ = s1;
-  } else {
-    if (s0 < sum_lo_) sum_lo_ = s0;
-    if (s1 > sum_hi_) sum_hi_ = s1;
-  }
-  for (uint64_t w = w0; w <= w1; ++w) {
-    const int lo = w == w0 ? static_cast<int>(first & 63) : 0;
-    const int hi = w == w1 ? static_cast<int>(last & 63) : 63;
-    const uint64_t add = bit_span(lo, hi) & ~words_[w];
-    if (add == 0) continue;
-    words_[w] |= add;
-    dirty_lines_ += static_cast<uint64_t>(__builtin_popcountll(add));
-    summary_[w >> 6] |= 1ull << (w & 63);
-  }
-}
-
 void DirtyBitmap::clear_range(uint64_t begin, uint64_t end) {
   uint64_t first, last;
   if (!to_lines(begin, end, &first, &last)) return;
@@ -61,7 +27,7 @@ void DirtyBitmap::clear_range(uint64_t begin, uint64_t end) {
     const uint64_t rem = bit_span(lo, hi) & words_[w];
     if (rem == 0) continue;
     words_[w] &= ~rem;
-    dirty_lines_ -= static_cast<uint64_t>(__builtin_popcountll(rem));
+    dirty_lines_ -= popcount(rem);
     if (words_[w] == 0) summary_[w >> 6] &= ~(1ull << (w & 63));
   }
   if (dirty_lines_ == 0) sum_lo_ = sum_hi_ = 0;
