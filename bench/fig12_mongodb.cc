@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
       DocStore::Config dc;
       dc.layout = layout;
       dc.value_size = value_size;
-      dc.use_read_locks = false;  // reads served from the primary's copy
       DocStore store(*group, cluster->server(cluster->size() - 1), dc);
       store.bulk_load(records);
       cluster->loop().run_until(cluster->loop().now() +

@@ -73,7 +73,6 @@ Result run_config(int replica_sets, int cores, uint64_t ops_per_set,
     // MongoDB-weight front end: query parse/plan/marshal (§6.2 notes the
     // client software stack dominates what remains after offload).
     dc.op_cpu = sim::usec(50);
-    dc.use_read_locks = false;
     set.store = std::make_unique<DocStore>(*set.group, primary, dc);
     set.store->bulk_load(records);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "apps/ycsb/workload.h"
@@ -65,43 +67,23 @@ void DocStore::update(uint64_t key, std::vector<uint8_t> value, Done done) {
   write_doc(key, std::move(value), std::move(done));
 }
 
-size_t DocStore::pick_read_replica(uint64_t key) {
-  if (!cfg_.read_from_replica) return 0;
-  if (sreader_ != nullptr) {
-    const Shard& sh = shards_[shard_of(key)];
-    const uint64_t off = sh.layout.db_base() + slot_offset(key);
-    return sreader_->shard(sreader_->router().shard_of(off)).next_replica();
+void DocStore::set_sharded_reader(core::ShardedReader* reader) {
+  for (uint32_t s = 0; s < reader->shards(); ++s) {
+    if (slot_stride() > reader->shard(s).slot_size()) {
+      std::fprintf(stderr,
+                   "DocStore: a %llu-byte document does not fit one %u-byte "
+                   "reader slot (shard %u); a multi-READ document could "
+                   "tear under a concurrent apply\n",
+                   static_cast<unsigned long long>(slot_stride()),
+                   reader->shard(s).slot_size(), s);
+      std::abort();
+    }
   }
-  return cfg_.read_replica;
+  sreader_ = reader;
 }
 
-void DocStore::finish_read(uint64_t key, size_t replica, ReadDone done) {
+void DocStore::local_read(uint64_t key, ReadDone done) {
   const Shard& sh = shards_[shard_of(key)];
-  if (cfg_.read_from_replica && (sreader_ != nullptr || reader_ != nullptr)) {
-    assert((cfg_.shards == 1 || sreader_ != nullptr) &&
-           "multi-shard replica reads need a ShardedReader");
-    const uint32_t vsize = cfg_.value_size;
-    core::ReadDone handle =
-        [done = std::move(done), vsize](core::ReadView doc) mutable {
-          uint32_t len = 0;
-          std::memcpy(&len, doc.data() + 8, 4);
-          if (len == 0 || len > vsize) {
-            done(false, {});
-            return;
-          }
-          done(true, std::vector<uint8_t>(doc.begin() + 16,
-                                          doc.begin() + 16 + len));
-        };
-    const uint64_t off = sh.layout.db_base() + slot_offset(key);
-    const auto len = static_cast<uint32_t>(slot_stride());
-    if (sreader_ != nullptr) {
-      sreader_->read_from(replica, off, len, std::move(handle));
-    } else {
-      // Legacy single-target reader: target 0 is cfg_.read_replica.
-      reader_->read_from(0, off, len, std::move(handle));
-    }
-    return;
-  }
   uint32_t len = 0;
   group_.client_load(sh.layout.db_base() + slot_offset(key) + 8, &len, 4);
   if (len == 0 || len > cfg_.value_size) {
@@ -114,37 +96,56 @@ void DocStore::finish_read(uint64_t key, size_t replica, ReadDone done) {
   done(true, std::move(value));
 }
 
+void DocStore::replica_read(uint64_t key, int attempts_left, ReadDone done) {
+  // One doorbell, two READs on one replica's QP, executed in order: the
+  // document, then its stripe's writer word. A writer holds that word on
+  // the replica across its apply there, so a 0 read after the document
+  // means the document was not caught mid-transaction.
+  const Shard& sh = shards_[shard_of(key)];
+  core::ReadVec v;
+  v.push_back(core::ReadExtent{sh.layout.db_base() + slot_offset(key),
+                               static_cast<uint32_t>(slot_stride())});
+  v.push_back(core::ReadExtent{sh.layout.lock_offset(stripe(key)), 8});
+  sreader_->readv(v, [this, key, attempts_left, done = std::move(done)](
+                         core::ReadView view) mutable {
+    uint64_t writer = 0;
+    std::memcpy(&writer, view.data() + slot_stride(), 8);
+    if (writer != 0) {
+      if (attempts_left <= 1) {
+        ++stats_.read_failures;
+        done(false, {});
+        return;
+      }
+      ++stats_.read_retries;
+      client_.loop().schedule_after(
+          shards_[shard_of(key)].locks->config().retry_backoff,
+          [this, key, attempts_left, done = std::move(done)]() mutable {
+            replica_read(key, attempts_left - 1, std::move(done));
+          });
+      return;
+    }
+    uint32_t len = 0;
+    std::memcpy(&len, view.data() + 8, 4);
+    if (len == 0 || len > cfg_.value_size) {
+      done(false, {});
+      return;
+    }
+    done(true, std::vector<uint8_t>(view.begin() + 16,
+                                    view.begin() + 16 + len));
+  });
+}
+
 void DocStore::read(uint64_t key, ReadDone done) {
   client_.sched().submit(
       client_pid_, cfg_.op_cpu,
       [this, key, done = std::move(done)]() mutable {
-        // Pick the replica first: the read lock must land on the same
-        // replica the one-sided read will observe.
-        const size_t replica = pick_read_replica(key);
-        if (!cfg_.use_read_locks) {
-          finish_read(key, replica, std::move(done));
-          return;
+        if (cfg_.read_from_replica && sreader_ != nullptr) {
+          replica_read(key,
+                       shards_[shard_of(key)].locks->config().max_attempts,
+                       std::move(done));
+        } else {
+          local_read(key, std::move(done));
         }
-        Shard& sh = shards_[shard_of(key)];
-        sh.locks->rd_lock(
-            stripe(key), replica,
-            [this, key, replica, done = std::move(done)](bool ok) mutable {
-              if (!ok) {
-                done(false, {});
-                return;
-              }
-              finish_read(
-                  key, replica,
-                  [this, key, replica, done = std::move(done)](
-                      bool ok2, std::vector<uint8_t> v) mutable {
-                    shards_[shard_of(key)].locks->rd_unlock(
-                        stripe(key), replica,
-                        [done = std::move(done), ok2,
-                         v = std::move(v)]() mutable {
-                          done(ok2, std::move(v));
-                        });
-                  });
-            });
       });
 }
 

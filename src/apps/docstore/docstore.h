@@ -6,8 +6,14 @@
 // through the TransactionManager: group write locks (gCAS), oplog append
 // (gWRITE+gFLUSH), ExecuteAndAdvance (gMEMCPY+gFLUSH), unlock — exactly
 // the §5.2 flow, with wrLock/wrUnlock surrounding ExecuteAndAdvance.
-// Reads take a read lock on the primary's copy by default; an optional
-// RemoteReader serves reads from a chain replica (one-sided RDMA).
+//
+// Reads take no locks. By default they read the client's own copy. With
+// read_from_replica and a ShardedReader attached, a read is one doorbell
+// on the owning shard's reader carrying two READs to one replica: the
+// document slot, then its stripe's write-lock word. The document is
+// accepted only if that word reads 0 (no writer was mid-apply); otherwise
+// the read backs off and retries on the lock manager's schedule, failing
+// after max_attempts (DESIGN.md "Read datapath").
 //
 // Sharded mode (Config::shards > 1, DESIGN.md "Sharded datapath"): the
 // keyspace is partitioned key % shards, each shard owning its own region
@@ -46,35 +52,28 @@ class DocStore : public StorageEngine {
     /// software stack cost, which the paper notes dominates what remains
     /// after offload.
     sim::Duration op_cpu = sim::usec(4);
-    /// Serve reads from a replica via one-sided RDMA instead of the
-    /// primary's copy. With shards == 1 a plain RemoteReader suffices;
-    /// with shards > 1 a ShardedReader (set_sharded_reader) is required.
+    /// Serve reads and scans from a replica via one-sided RDMA (through
+    /// the ShardedReader given to set_sharded_reader, K=1 for one shard)
+    /// instead of the client's copy.
     bool read_from_replica = false;
-    /// Lock/read replica for the legacy single-replica reader. A
-    /// ShardedReader picks per read via its replica-selection policy.
-    size_t read_replica = 0;
-    /// Take read locks for reads (required for consistent replica reads).
-    bool use_read_locks = true;
     /// Oplog group-commit tuning (staged-window depth, latency clock);
     /// staged_capacity = 1 restores per-record issue semantics.
     core::ReplicatedWal::Options wal;
   };
 
-  DocStore(core::ReplicationGroup& group, core::Server& client, Config cfg);
+  struct Stats {
+    uint64_t read_retries = 0;   ///< replica reads that found the stripe locked
+    uint64_t read_failures = 0;  ///< replica reads that gave up (max_attempts)
+  };
 
-  /// Enables replica reads through the given reader (owned by caller).
-  /// Single-shard only; the reader's one target is cfg.read_replica.
-  void set_remote_reader(core::RemoteReader* reader) {
-    assert(cfg_.shards == 1 && "use set_sharded_reader with shards > 1");
-    reader_ = reader;
-  }
+  DocStore(core::ReplicationGroup& group, core::Server& client, Config cfg);
 
   /// Enables replica reads and scatter scans through a sharded reader
   /// (owned by caller). The reader's router must partition the region
-  /// exactly like the store's shard slices, and each shard's targets must
-  /// be indexed by chain replica (target i = replica i) so the selection
-  /// policy's pick can be read-locked. Works for any shard count.
-  void set_sharded_reader(core::ShardedReader* reader) { sreader_ = reader; }
+  /// exactly like the store's shard slices. Works for any shard count.
+  /// Aborts unless one document fits one bounce slot of every shard's
+  /// reader: a single READ is atomic, a fragmented one could tear.
+  void set_sharded_reader(core::ShardedReader* reader);
 
   // StorageEngine ---------------------------------------------------------
   void insert(uint64_t key, std::vector<uint8_t> value, Done done) override;
@@ -95,6 +94,7 @@ class DocStore : public StorageEngine {
   core::TransactionManager& txns(size_t s) { return *shards_.at(s).txns; }
   core::GroupLockManager& locks(size_t s) { return *shards_.at(s).locks; }
   sim::ProcessId front_end_pid() const { return client_pid_; }
+  const Stats& stats() const { return stats_; }
 
   /// Which shard owns `key` (key % shards).
   uint32_t shard_of(uint64_t key) const {
@@ -122,20 +122,18 @@ class DocStore : public StorageEngine {
   std::vector<uint8_t> encode_doc(uint64_t key,
                                   const std::vector<uint8_t>& value) const;
   void write_doc(uint64_t key, std::vector<uint8_t> value, Done done);
-  /// Picks the replica a replica-read of `key` will observe (and must
-  /// read-lock): the sharded reader's policy choice, or the static
-  /// cfg_.read_replica for the legacy single-replica reader.
-  size_t pick_read_replica(uint64_t key);
-  void finish_read(uint64_t key, size_t replica, ReadDone done);
+  void local_read(uint64_t key, ReadDone done);
+  /// One validated replica read; `attempts_left` counts this try.
+  void replica_read(uint64_t key, int attempts_left, ReadDone done);
   void remote_scan(uint64_t key, int count, Done done);
 
   core::ReplicationGroup& group_;
   core::Server& client_;
   Config cfg_;
   std::vector<Shard> shards_;
-  core::RemoteReader* reader_ = nullptr;
   core::ShardedReader* sreader_ = nullptr;
   sim::ProcessId client_pid_;
+  Stats stats_;
 };
 
 }  // namespace hyperloop::apps

@@ -171,7 +171,8 @@ void GroupLockManager::rd_attempt(uint32_t idx) {
                 }
                 // 2) Increment the reader count.
                 cas_loop_add(layout_.reader_offset(op.lock_id), op.replica,
-                             +1, [this, idx] { rd_recheck(idx); });
+                             +1, /*guess=*/0,
+                             [this, idx] { rd_recheck(idx); });
               });
 }
 
@@ -186,8 +187,9 @@ void GroupLockManager::rd_recheck(uint32_t idx) {
                   rd_finish(idx, true);
                   return;
                 }
+                // Our own +1 is in the count, so it is at least 1.
                 cas_loop_add(layout_.reader_offset(op.lock_id), op.replica,
-                             -1, [this, idx] { rd_retry(idx); });
+                             -1, /*guess=*/1, [this, idx] { rd_retry(idx); });
               });
 }
 
@@ -200,18 +202,22 @@ void GroupLockManager::rd_retry(uint32_t idx) {
 
 void GroupLockManager::rd_unlock(uint32_t lock_id, size_t replica,
                                  Done done) {
-  cas_loop_add(layout_.reader_offset(lock_id), replica, -1, std::move(done));
+  // A holder's own +1 is in the count, so it is at least 1: guessing 1
+  // lets an uncontended release finish in one gCAS.
+  cas_loop_add(layout_.reader_offset(lock_id), replica, -1, /*guess=*/1,
+               std::move(done));
 }
 
 void GroupLockManager::cas_loop_add(uint64_t offset, size_t replica,
-                                    int64_t delta, Done done) {
+                                    int64_t delta, uint64_t guess,
+                                    Done done) {
   const uint32_t idx = acquire_slot(add_ops_, add_free_);
   AddOp& op = add_ops_[idx];
   assert(!op.live);
   op.offset = offset;
   op.replica = replica;
   op.delta = delta;
-  op.guess = 0;  // first probe assumes the count is zero
+  op.guess = guess;
   op.live = true;
   op.done = std::move(done);
   add_attempt(idx);

@@ -9,7 +9,10 @@
 // participates) and coexist with writers via the classic rwlock protocol:
 // readers increment the reader count while the writer word is clear;
 // writers acquire the writer word on all replicas and then wait for reader
-// counts to drain.
+// counts to drain. An uncontended rd_lock + rd_unlock costs four gCAS
+// round trips (check, +1, recheck, -1). DocStore's reads take no read
+// lock: they read the writer word in the same doorbell as the document
+// and retry while it is held (DESIGN.md "Read datapath").
 //
 // A gCAS(expected=0, desired=0) is used as a NIC-offloaded *read* of a
 // lock word (it swaps nothing and returns the current value).
@@ -69,6 +72,7 @@ class GroupLockManager {
   void rd_unlock(uint32_t lock_id, size_t replica, Done done);
 
   const Stats& stats() const { return stats_; }
+  const Config& config() const { return cfg_; }
 
  private:
   /// One in-flight write-lock acquisition.
@@ -120,8 +124,10 @@ class GroupLockManager {
 
   void unlock_finish(uint32_t idx);
 
+  /// Adds `delta` to the word at `offset` on one replica by CAS, first
+  /// guessing the word holds `guess`.
   void cas_loop_add(uint64_t offset, size_t replica, int64_t delta,
-                    Done done);
+                    uint64_t guess, Done done);
   void add_attempt(uint32_t idx);
 
   ExecMap all_replicas() const {

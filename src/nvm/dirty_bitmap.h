@@ -2,7 +2,7 @@
 //
 // The NVM durability tracker's hot operations are: mark a written range
 // dirty (every CPU store / NIC DMA into the NVM range), clear a range on
-// persist, query a range (is_durable), and walk all dirty ranges
+// persist, query a range (is_durable), and walk all dirty lines
 // (persist_all / crash). IntervalSet (tests/interval_set.h, now the test
 // reference model) does these in O(log n) with a std::map — node
 // allocation on every insert, erase on every persist. This bitmap does
@@ -99,51 +99,13 @@ class DirtyBitmap {
   /// of their own (the NVM undo pool).
   uint64_t word(size_t w) const { return words_[w]; }
 
-  /// Calls fn(byte_begin, byte_end) for each maximal run of dirty lines,
-  /// in ascending order. byte_end is clamped to size_bytes(). Allocation-
-  /// free; only the summary-word watermark window [sum_lo_, sum_hi_) is
-  /// scanned, so walking a clean or lightly dirtied device never touches
-  /// the full summary (persist_all fires on every gFLUSH — this is hot).
-  template <typename Fn>
-  void for_each_dirty_range(Fn&& fn) const {
-    uint64_t run_begin = 0, run_end = 0;  // [run_begin, run_end) in lines
-    bool open = false;
-    for (size_t s = sum_lo_; s < sum_hi_; ++s) {
-      uint64_t sw = summary_[s];
-      while (sw != 0) {
-        const int b = __builtin_ctzll(sw);
-        sw &= sw - 1;
-        const size_t w = (s << 6) + static_cast<size_t>(b);
-        uint64_t bits = words_[w];
-        const uint64_t word_line0 = static_cast<uint64_t>(w) << 6;
-        while (bits != 0) {
-          const int lo = __builtin_ctzll(bits);
-          // Length of the run of consecutive ones starting at `lo`.
-          const uint64_t shifted = bits >> lo;
-          const int len = (~shifted == 0) ? 64 - lo
-                                          : __builtin_ctzll(~shifted);
-          const uint64_t first = word_line0 + static_cast<uint64_t>(lo);
-          const uint64_t last = first + static_cast<uint64_t>(len);
-          if (open && first == run_end) {
-            run_end = last;  // contiguous across a word/summary boundary
-          } else {
-            if (open) emit(fn, run_begin, run_end);
-            run_begin = first;
-            run_end = last;
-            open = true;
-          }
-          if (len == 64 - lo) break;  // run reached the top of the word
-          bits &= ~(((1ull << len) - 1) << lo);
-        }
-      }
-    }
-    if (open) emit(fn, run_begin, run_end);
-  }
-
   /// Calls fn(w, bits) for each non-zero level-0 word, in ascending order,
-  /// with its dirty bits. Scans the same watermark window as
-  /// for_each_dirty_range; for callers that combine the map word-wise
-  /// with per-line bits of their own (NvmDevice::persist_all and crash).
+  /// with its dirty bits. Allocation-free; only the summary-word watermark
+  /// window [sum_lo_, sum_hi_) is scanned, so walking a clean or lightly
+  /// dirtied device never touches the full summary (persist_all fires on
+  /// every gFLUSH — this is hot). For callers that combine the map
+  /// word-wise with per-line bits of their own (NvmDevice::persist_all
+  /// and crash).
   template <typename Fn>
   void for_each_dirty_word(Fn&& fn) const {
     for (size_t s = sum_lo_; s < sum_hi_; ++s) {
@@ -169,14 +131,6 @@ class DirtyBitmap {
   static uint64_t bit_span(int lo, int hi) {
     const uint64_t upper = hi == 63 ? ~0ull : (1ull << (hi + 1)) - 1;
     return upper & ~((1ull << lo) - 1);
-  }
-
-  template <typename Fn>
-  void emit(Fn&& fn, uint64_t line_begin, uint64_t line_end) const {
-    const uint64_t b = line_begin << kLineShift;
-    uint64_t e = line_end << kLineShift;
-    if (e > size_) e = size_;
-    fn(b, e);
   }
 
   /// Clamps [begin, end) to the tracked range and converts to an inclusive

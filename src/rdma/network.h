@@ -42,7 +42,7 @@ class Network {
   /// Attaches an endpoint; `on_packet` receives RDMA packets, and
   /// `on_datagram` (optional) receives raw datagrams. Returns the NicId.
   /// Handlers use SmallFn inline storage: dispatching a packet to an
-  /// endpoint is two indirect calls, never a std::function allocation.
+  /// endpoint is two indirect calls, never a heap-backed callable.
   NicId attach(sim::SmallFn<void(Packet&&)> on_packet,
                sim::SmallFn<void(NicId src, std::vector<uint8_t>)> on_datagram =
                    {});

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "nvm/dirty_bitmap.h"
 #include "sim/rng.h"
@@ -146,6 +148,26 @@ TEST(IntervalSet, MatchesBitmapModelUnderRandomOps) {
 
 constexpr uint64_t kLine = DirtyBitmap::kLineBytes;
 
+// Maximal runs of dirty lines as byte ranges [begin, end), rebuilt from
+// the word walk: runs merge across word boundaries, and the last run's end
+// clamps to the tracked size.
+std::vector<std::pair<uint64_t, uint64_t>> dirty_runs(const DirtyBitmap& b) {
+  std::vector<std::pair<uint64_t, uint64_t>> runs;
+  b.for_each_dirty_word([&](uint64_t w, uint64_t bits) {
+    for (int i = 0; i < 64; ++i) {
+      if ((bits >> i & 1) == 0) continue;
+      const uint64_t begin = (w * 64 + static_cast<uint64_t>(i)) * kLine;
+      const uint64_t end = std::min(begin + kLine, b.size_bytes());
+      if (!runs.empty() && runs.back().second == begin) {
+        runs.back().second = end;
+      } else {
+        runs.emplace_back(begin, end);
+      }
+    }
+  });
+  return runs;
+}
+
 TEST(DirtyBitmap, MarksAtLineGranularity) {
   DirtyBitmap b(1 << 16);
   EXPECT_TRUE(b.empty());
@@ -180,16 +202,13 @@ TEST(DirtyBitmap, ForEachMergesRunsAcrossWordBoundaries) {
   // boundary and must still be reported as one range.
   DirtyBitmap b(1 << 20);
   b.mark(62 * kLine, 67 * kLine);
-  int runs = 0;
-  uint64_t begin = 0, end = 0;
-  b.for_each_dirty_range([&](uint64_t bb, uint64_t ee) {
-    ++runs;
-    begin = bb;
-    end = ee;
-  });
-  EXPECT_EQ(runs, 1);
-  EXPECT_EQ(begin, 62 * kLine);
-  EXPECT_EQ(end, 67 * kLine);
+  int words = 0;
+  b.for_each_dirty_word([&](uint64_t, uint64_t) { ++words; });
+  EXPECT_EQ(words, 2);
+  const auto runs = dirty_runs(b);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].first, 62 * kLine);
+  EXPECT_EQ(runs[0].second, 67 * kLine);
 }
 
 TEST(DirtyBitmap, ClearAllVisitsOnlyDirtyWords) {
@@ -206,17 +225,21 @@ TEST(DirtyBitmap, TailRangeClampsToDeviceSize) {
   // A device whose size is not a multiple of one line: ranges clamp.
   DirtyBitmap b(3 * kLine + 10);
   b.mark(3 * kLine, 3 * kLine + 10);
-  uint64_t end = 0;
-  b.for_each_dirty_range([&](uint64_t, uint64_t e) { end = e; });
-  EXPECT_EQ(end, 3 * kLine + 10);  // clamped, not rounded up past the device
-  b.mark(0, ~0ull);                // oversized range clamps too
+  uint64_t tail_bits = 0;
+  b.for_each_dirty_word([&](uint64_t, uint64_t bits) { tail_bits = bits; });
+  EXPECT_EQ(tail_bits, 0b1000u);  // the partial tail line is line 3
+  ASSERT_EQ(dirty_runs(b).size(), 1u);
+  EXPECT_EQ(dirty_runs(b)[0].second, 3 * kLine + 10);  // clamped to size
+  b.mark(0, ~0ull);  // oversized range clamps too: no bit past line 3
+  b.for_each_dirty_word([&](uint64_t, uint64_t bits) { tail_bits = bits; });
+  EXPECT_EQ(tail_bits, 0b1111u);
   EXPECT_EQ(b.dirty_lines(), 4u);
 }
 
 // Randomized property test: ~1M mixed mark/clear/query/walk operations,
 // checked move-for-move against the IntervalSet reference driven with
 // line-rounded ranges. Any divergence in covers/intersects/total bytes or
-// in the dirty-range walk fails with the step number.
+// in the dirty-word walk fails with the step number.
 TEST(DirtyBitmap, MatchesIntervalSetReferenceUnderRandomOps) {
   static constexpr uint64_t kSpace = 1 << 20;  // 16384 lines
   sim::Rng rng(0x5eed);
@@ -242,14 +265,13 @@ TEST(DirtyBitmap, MatchesIntervalSetReferenceUnderRandomOps) {
       bitmap.clear_range(a, e);
       ref.erase(line_floor(a), a == e ? line_floor(a) : line_ceil(e));
     } else if (roll < 0.999) {
-      // Walk-based flush of everything — exercises for_each + clear_all
+      // Walk-based flush of everything — exercises the word walk + clear_all
       // against the reference snapshot.
       uint64_t walked = 0;
-      bitmap.for_each_dirty_range(
-          [&](uint64_t b, uint64_t en) { walked += en - b; });
-      // Runs are line-granular except the final clamp; compare on lines.
-      EXPECT_EQ((walked + kLine - 1) / kLine, bitmap.dirty_lines())
-          << "step " << step;
+      bitmap.for_each_dirty_word([&](uint64_t, uint64_t bits) {
+        walked += static_cast<uint64_t>(__builtin_popcountll(bits));
+      });
+      EXPECT_EQ(walked, bitmap.dirty_lines()) << "step " << step;
       bitmap.clear_all();
       ref.clear();
     }
@@ -270,17 +292,15 @@ TEST(DirtyBitmap, MatchesIntervalSetReferenceUnderRandomOps) {
           << "step " << step << " query [" << qa << "," << qe << ")";
     }
 
-    // Periodically cross-check the full dirty-range walk.
+    // Periodically cross-check the runs rebuilt from the word walk.
     if (step % 25000 == 0) {
       auto ivs = ref.intervals();
-      size_t i = 0;
-      bitmap.for_each_dirty_range([&](uint64_t b, uint64_t en) {
-        ASSERT_LT(i, ivs.size()) << "step " << step;
-        EXPECT_EQ(b, ivs[i].begin) << "step " << step;
-        EXPECT_EQ(en, ivs[i].end) << "step " << step;
-        ++i;
-      });
-      EXPECT_EQ(i, ivs.size()) << "step " << step;
+      const auto runs = dirty_runs(bitmap);
+      ASSERT_EQ(runs.size(), ivs.size()) << "step " << step;
+      for (size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(runs[i].first, ivs[i].begin) << "step " << step;
+        EXPECT_EQ(runs[i].second, ivs[i].end) << "step " << step;
+      }
     }
   }
 }

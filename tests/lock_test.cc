@@ -140,6 +140,21 @@ TEST_F(LockFixture, RdLockIncrementsOneReplicaOnly) {
   EXPECT_EQ(reader_count(1, 2), 0u);
 }
 
+TEST_F(LockFixture, UncontendedReadLockRoundTripCostsFourGcas) {
+  // Check, +1, recheck; then one -1 whose first guess (1) is right.
+  const uint64_t before = group->counters().gcas;
+  bool got = false, rel = false;
+  locks.rd_lock(12, 0, [&](bool ok) { got = ok; });
+  run();
+  ASSERT_TRUE(got);
+  EXPECT_EQ(group->counters().gcas - before, 3u);
+  locks.rd_unlock(12, 0, [&] { rel = true; });
+  run();
+  ASSERT_TRUE(rel);
+  EXPECT_EQ(group->counters().gcas - before, 4u);
+  EXPECT_EQ(reader_count(0, 12), 0u);
+}
+
 TEST_F(LockFixture, MultipleReadersCoexist) {
   int granted = 0;
   for (int i = 0; i < 5; ++i) {

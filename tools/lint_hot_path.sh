@@ -31,6 +31,12 @@ src/core/remote_reader.h
 src/core/remote_reader.cc
 src/core/sharded_reader.h
 src/core/sharded_reader.cc
+src/core/lock.h
+src/core/lock.cc
+src/core/txn.h
+src/core/txn.cc
+src/apps/docstore/docstore.h
+src/apps/docstore/docstore.cc
 src/rdma/nic.h
 src/rdma/nic.cc
 src/rdma/completion_queue.h
@@ -45,6 +51,8 @@ src/rdma/payload_buf.cc
 src/rdma/memory.h
 src/rdma/memory.cc
 src/rdma/packet.h
+src/rdma/network.h
+src/rdma/network.cc
 src/rdma/wqe.h
 src/nvm/nvm_device.h
 src/nvm/nvm_device.cc
